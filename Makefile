@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-hammer bench bench-short bench-json bench-diff alloc-check check serve smoke schemes-smoke chaos-smoke jobs-smoke gw-smoke loadgen docs-check artifacts examples golden cover clean
+.PHONY: all build test vet race race-hammer bench bench-short bench-json bench-diff alloc-check fmt-check check serve smoke schemes-smoke chaos-smoke jobs-smoke gw-smoke loadgen docs-check artifacts examples golden cover clean
 
 all: build vet test
 
@@ -54,9 +54,14 @@ bench-diff:
 
 # Allocation pins, run WITHOUT the race detector (its instrumentation
 # perturbs testing.AllocsPerRun): the warm BusPoint path must stay at
-# zero allocations and the warm extend path within its budget.
+# zero allocations, the warm extend path within its budget, and a warm
+# /v1/bus point and curve through the whole handler tree within theirs.
 alloc-check:
-	$(GO) test -run 'Alloc' ./internal/core ./internal/sweep
+	$(GO) test -run 'Alloc' ./internal/core ./internal/sweep ./internal/serve
+
+# Formatting gate: fails listing any file gofmt would rewrite.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Focused race hammers: the shared-evaluator and shared-server stress
 # tests, repeated, under the race detector — the concurrency gate on the
@@ -102,7 +107,8 @@ jobs-smoke:
 # Gateway drill: cohereload's gw mode boots two cache-capped in-process
 # backends behind the affinity gateway and exits nonzero unless (1)
 # affinity routing beats a fresh round-robin control by >= 1.5x on
-# aggregate backend cache-hit ratio with p99 no worse, (2) a backend
+# aggregate backend cache-hit ratio with p99 no worse in the median of
+# alternating rounds (the arms run 15x -d each), (2) a backend
 # killed mid-load never surfaces as a client 500/502, and (3) a
 # snapshot-restarted backend serves its old working set with zero new
 # solves (see OPERATIONS.md's gateway section).
@@ -110,11 +116,11 @@ gw-smoke:
 	$(GO) run ./cmd/cohereload -gw -c 8 -d 1s > /dev/null
 	@echo "gw-smoke: ok (affinity wins, failover clean, warm restart verified)"
 
-# The pre-merge gate: vet, the race-enabled test run, the repeated
-# concurrency hammers, the allocation pins (non-race), the
+# The pre-merge gate: formatting, vet, the race-enabled test run, the
+# repeated concurrency hammers, the allocation pins (non-race), the
 # documentation and scheme-registry gates, and the overload +
 # async-job + gateway drills.
-check: vet race race-hammer alloc-check docs-check schemes-smoke chaos-smoke jobs-smoke gw-smoke
+check: fmt-check vet race race-hammer alloc-check docs-check schemes-smoke chaos-smoke jobs-smoke gw-smoke
 
 # Run the model-serving daemon in the foreground.
 COHERED_ADDR ?= 127.0.0.1:8080

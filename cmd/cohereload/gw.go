@@ -16,6 +16,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -50,11 +51,20 @@ const (
 
 // gwHitRatioGate and gwP99Band are the drill's self-gate: affinity must
 // beat round-robin on aggregate backend hit ratio by at least the gate
-// factor, with client p99 no worse than the band allows.
+// factor, with client p99 no worse than the band allows in the median
+// of gwRounds paired rounds. Each round interleaves gwSlices slices of
+// each arm in alternating order (see gwCompare), so neither policy
+// always runs in the process's first, coldest window.
 const (
 	gwHitRatioGate = 1.5
 	gwP99Band      = 1.05
+	gwRounds       = 15
+	gwSlices       = 4
 )
+
+// errGwP99 marks the comparison's latency-gate failure, the one gate a
+// race-detector build reports instead of enforcing.
+var errGwP99 = errors.New("gw bench: affinity p99 worse than round-robin's")
 
 // Hedging-drill geometry. Each backend carries a seeded fault injector
 // whose only fault is latency: gwTailP of requests sleep gwTailLatency,
@@ -186,90 +196,231 @@ func gwPointBody(shd float64) string {
 	return fmt.Sprintf(`{"scheme": "swflush", "params": {"shd": %g}, "procs": %d, "point": true}`, shd, gwProcs)
 }
 
-// gwBenchArm runs one policy's arm of the comparison: fresh capped
-// backends, fresh gateway, the whole pool primed once through the
-// gateway, then a timed all-warm window. Returns the scenario summary
-// (BackendHitRatio populated) for the gate.
-func gwBenchArm(policy, label string, conc int, dur time.Duration, seed int64) (summary, error) {
-	var backends []*gwBackend
-	for i := 0; i < 2; i++ {
-		b, err := startGwBackend(gwCacheCap, nil)
-		if err != nil {
-			return summary{}, err
-		}
-		defer b.stop()
-		backends = append(backends, b)
-	}
-	base, stopGw, err := startGwTier(policy, backends)
-	if err != nil {
-		return summary{}, err
-	}
-	defer stopGw()
+// gwLoad is the client side's tally of closed-loop load windows.
+type gwLoad struct {
+	requests  int
+	transport int            // requests that got no HTTP response
+	status    map[string]int // responses by status code
+	latencies []float64      // seconds, 200s only
+}
 
-	client := newClient(30 * time.Second)
-	for i := 0; i < gwWarmPool; i++ {
-		code, body, err := post(context.Background(), client, base+"/v1/bus", gwPointBody(warmShd(i, gwWarmPool)))
-		if err != nil || code != http.StatusOK {
-			return summary{}, fmt.Errorf("%s: priming pool: status %d err %v body %s", label, code, err, body)
-		}
-	}
-	before := make([]sweep.Stats, len(backends))
-	for i, b := range backends {
-		if before[i], err = scrapeStats(client, b.url); err != nil {
-			return summary{}, fmt.Errorf("%s: scraping %s: %w", label, b.url, err)
-		}
-	}
-
-	var (
-		mu        sync.Mutex
-		latencies []float64
-		requests  int
-		errs      int
-	)
-	deadline := time.Now().Add(dur)
+// driveGw runs conc closed-loop workers against base's /v1/bus for dur
+// and returns their tally, latencies sorted. Each worker draws keys from
+// a pool-sized warm pool with an RNG seeded from seed, so two windows on
+// one seed send the same keys.
+func driveGw(client *http.Client, base string, conc int, dur time.Duration, seed int64, pool int) gwLoad {
+	l := gwLoad{status: map[string]int{}}
+	var mu sync.Mutex
 	var wg sync.WaitGroup
+	deadline := time.Now().Add(dur)
 	for w := 0; w < conc; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(workerSeed(seed, worker)))
 			for time.Now().Before(deadline) {
-				body := gwPointBody(warmShd(rng.Intn(gwWarmPool), gwWarmPool))
+				body := gwPointBody(warmShd(rng.Intn(pool), pool))
 				start := time.Now()
 				code, _, err := post(context.Background(), client, base+"/v1/bus", body)
 				elapsed := time.Since(start).Seconds()
 				mu.Lock()
-				requests++
-				if err != nil || code != http.StatusOK {
-					errs++
+				l.requests++
+				if err != nil {
+					l.transport++
 				} else {
-					latencies = append(latencies, elapsed)
+					l.status[fmt.Sprint(code)]++
+					if code == http.StatusOK {
+						l.latencies = append(l.latencies, elapsed)
+					}
 				}
 				mu.Unlock()
 			}
 		}(w)
 	}
 	wg.Wait()
+	sort.Float64s(l.latencies)
+	return l
+}
 
-	after := make([]sweep.Stats, len(backends))
-	for i, b := range backends {
-		if after[i], err = scrapeStats(client, b.url); err != nil {
-			return summary{}, fmt.Errorf("%s: scraping %s: %w", label, b.url, err)
+// add folds another window's tally into l.
+func (l *gwLoad) add(o gwLoad) {
+	l.requests += o.requests
+	l.transport += o.transport
+	for code, n := range o.status {
+		l.status[code] += n
+	}
+	l.latencies = append(l.latencies, o.latencies...)
+}
+
+// summary renders the tally as a report scenario over dur of load.
+// Errors counts every request that did not answer 200.
+func (l gwLoad) summary(label string, conc int, dur time.Duration) summary {
+	sort.Float64s(l.latencies)
+	return summary{
+		Label:       label,
+		Concurrency: conc,
+		Duration:    dur.Seconds(),
+		Requests:    l.requests,
+		Errors:      l.requests - len(l.latencies),
+		RPS:         float64(l.requests) / dur.Seconds(),
+		Latency:     summarize(l.latencies),
+		Mix:         map[string]int{"point": l.requests},
+	}
+}
+
+// gwArm is one policy's side of the affinity-vs-round-robin
+// comparison: two fresh cache-capped backends behind a fresh gateway,
+// with the whole pool primed once through it.
+type gwArm struct {
+	label    string
+	base     string
+	backends []*gwBackend
+	stops    []func()
+	before   []sweep.Stats // fleet counters at the end of priming
+	load     gwLoad        // every window's tally
+}
+
+// startGwArm boots and primes one policy's fleet. inj, when non-nil,
+// arms both of its backends with the fault injector. The caller must
+// call close, also on error.
+func startGwArm(client *http.Client, policy, label string, inj *fault.Injector) (*gwArm, error) {
+	a := &gwArm{label: label, load: gwLoad{status: map[string]int{}}}
+	for i := 0; i < 2; i++ {
+		b, err := startGwBackend(gwCacheCap, inj)
+		if err != nil {
+			return a, err
+		}
+		a.stops = append(a.stops, b.stop)
+		a.backends = append(a.backends, b)
+	}
+	base, stopGw, err := startGwTier(policy, a.backends)
+	if err != nil {
+		return a, err
+	}
+	a.base = base
+	a.stops = append(a.stops, stopGw)
+	for i := 0; i < gwWarmPool; i++ {
+		code, body, err := post(context.Background(), client, base+"/v1/bus", gwPointBody(warmShd(i, gwWarmPool)))
+		if err != nil || code != http.StatusOK {
+			return a, fmt.Errorf("%s: priming pool: status %d err %v body %s", label, code, err, body)
 		}
 	}
-	sort.Float64s(latencies)
-	return summary{
-		Label:           label,
-		HitRatio:        1, // the schedule draws only warm-pool keys
-		Concurrency:     conc,
-		Duration:        dur.Seconds(),
-		Requests:        requests,
-		Errors:          errs,
-		RPS:             float64(requests) / dur.Seconds(),
-		Latency:         summarize(latencies),
-		Mix:             map[string]int{"point": requests},
-		BackendHitRatio: fleetHitRatio(before, after),
-	}, nil
+	a.before, err = a.scrape(client)
+	return a, err
+}
+
+// close stops the arm's gateway and backends, newest first.
+func (a *gwArm) close() {
+	for i := len(a.stops) - 1; i >= 0; i-- {
+		a.stops[i]()
+	}
+}
+
+// scrape reads every backend's evaluator counters.
+func (a *gwArm) scrape(client *http.Client) ([]sweep.Stats, error) {
+	st := make([]sweep.Stats, len(a.backends))
+	for i, b := range a.backends {
+		var err error
+		if st[i], err = scrapeStats(client, b.url); err != nil {
+			return nil, fmt.Errorf("%s: scraping %s: %w", a.label, b.url, err)
+		}
+	}
+	return st, nil
+}
+
+// window drives one window through the arm's gateway, adds it to the
+// arm's tally, and returns its sorted 200 latencies.
+func (a *gwArm) window(client *http.Client, conc int, dur time.Duration, seed int64) []float64 {
+	l := driveGw(client, a.base, conc, dur, seed, gwWarmPool)
+	a.load.add(l)
+	return l.latencies
+}
+
+// summary renders every window as the arm's scenario, with the backend
+// hit ratio taken over all of them together.
+func (a *gwArm) summary(client *http.Client, conc int, dur time.Duration) (summary, error) {
+	after, err := a.scrape(client)
+	if err != nil {
+		return summary{}, err
+	}
+	s := a.load.summary(a.label, conc, dur)
+	s.HitRatio = 1 // the schedule draws only warm-pool keys
+	s.BackendHitRatio = fleetHitRatio(a.before, after)
+	return s, nil
+}
+
+// gwCompare runs the affinity-vs-round-robin comparison. Both fleets
+// boot and prime first. Then each of gwRounds rounds gives each arm dur
+// of load, cut into gwSlices slices that alternate between the arms
+// (ABBA...), with both arms of a slice drawing the same keys: a burst
+// of host noise or a collection cycle lands on both arms of a round
+// instead of on one arm's whole window. Each arm's summary covers all
+// its slices (gwRounds*dur in total), and ratios holds each round's
+// affinity p99 over round-robin's p99. affInj, when non-nil, arms only
+// the affinity fleet's backends — a test uses it to inject the
+// regression the p99 gate exists to catch.
+func gwCompare(conc int, dur time.Duration, seed int64, affInj *fault.Injector) (aff, rr summary, ratios []float64, err error) {
+	client := newClient(30 * time.Second)
+	affArm, err := startGwArm(client, gw.PolicyAffinity, "gw_affinity", affInj)
+	defer affArm.close()
+	if err != nil {
+		return summary{}, summary{}, nil, err
+	}
+	rrArm, err := startGwArm(client, gw.PolicyRoundRobin, "gw_roundrobin", nil)
+	defer rrArm.close()
+	if err != nil {
+		return summary{}, summary{}, nil, err
+	}
+	slice := dur / gwSlices
+	for r := 0; r < gwRounds; r++ {
+		var affLat, rrLat []float64
+		for k := 0; k < gwSlices; k++ {
+			ks := workerSeed(seed, -1-(r*gwSlices+k))
+			if k%2 == 0 {
+				affLat = append(affLat, affArm.window(client, conc, slice, ks)...)
+				rrLat = append(rrLat, rrArm.window(client, conc, slice, ks)...)
+			} else {
+				rrLat = append(rrLat, rrArm.window(client, conc, slice, ks)...)
+				affLat = append(affLat, affArm.window(client, conc, slice, ks)...)
+			}
+		}
+		sort.Float64s(affLat)
+		sort.Float64s(rrLat)
+		ratios = append(ratios, summarize(affLat).P99/summarize(rrLat).P99)
+	}
+	if aff, err = affArm.summary(client, conc, gwRounds*dur); err != nil {
+		return summary{}, summary{}, nil, err
+	}
+	if rr, err = rrArm.summary(client, conc, gwRounds*dur); err != nil {
+		return summary{}, summary{}, nil, err
+	}
+	return aff, rr, ratios, nil
+}
+
+// gwCompareGate checks the comparison's claims in order of how much
+// they can be trusted: clean arms, then the structural backend-hit-ratio
+// gate, then the latency claim — the median of the per-round p99 ratios
+// within gwP99Band. A median of paired rounds is robust to one round's
+// collection cycles or scheduler hiccups, which a single pair of p99s
+// is not.
+func gwCompareGate(aff, rr summary, ratios []float64) error {
+	if aff.Errors > 0 || rr.Errors > 0 {
+		return fmt.Errorf("gw bench: errors under healthy fleets (affinity %d, roundrobin %d)", aff.Errors, rr.Errors)
+	}
+	if rr.BackendHitRatio <= 0 {
+		return fmt.Errorf("gw bench: round-robin arm recorded no lookups")
+	}
+	if gain := aff.BackendHitRatio / rr.BackendHitRatio; gain < gwHitRatioGate {
+		return fmt.Errorf("gw bench: affinity hit ratio %.3f is only %.2fx round-robin's %.3f (gate %.1fx)",
+			aff.BackendHitRatio, gain, rr.BackendHitRatio, gwHitRatioGate)
+	}
+	sorted := append([]float64(nil), ratios...)
+	sort.Float64s(sorted)
+	if med := sorted[len(sorted)/2]; !(med <= gwP99Band) {
+		return fmt.Errorf("%w: %.2fx in the median round (band %.2fx; per-round ratios %.2f)",
+			errGwP99, med, gwP99Band, ratios)
+	}
+	return nil
 }
 
 // gwFailover drives load through an affinity gateway and hard-kills one
@@ -296,50 +447,14 @@ func gwFailover(conc int, dur time.Duration, seed int64) (summary, error) {
 	kill := time.AfterFunc(dur/3, func() { backends[0].stop() })
 	defer kill.Stop()
 
-	var (
-		mu       sync.Mutex
-		status   = map[string]int{}
-		requests int
-		errs     int
-	)
-	deadline := time.Now().Add(dur)
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed(seed, worker)))
-			for time.Now().Before(deadline) {
-				body := gwPointBody(warmShd(rng.Intn(64), 64))
-				code, _, err := post(context.Background(), client, base+"/v1/bus", body)
-				mu.Lock()
-				requests++
-				if err != nil {
-					errs++
-				} else {
-					status[fmt.Sprint(code)]++
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	s := summary{
-		Label:        "gw_failover",
-		Concurrency:  conc,
-		Duration:     dur.Seconds(),
-		Requests:     requests,
-		Errors:       errs,
-		RPS:          float64(requests) / dur.Seconds(),
-		Mix:          map[string]int{"point": requests},
-		StatusCounts: status,
-	}
-	if status["500"] > 0 || status["502"] > 0 {
+	l := driveGw(client, base, conc, dur, seed, 64)
+	s := l.summary("gw_failover", conc, dur)
+	s.Errors, s.StatusCounts = l.transport, l.status
+	if l.status["500"] > 0 || l.status["502"] > 0 {
 		return s, fmt.Errorf("gw_failover: clients saw %d 500s and %d 502s after a backend kill — failover must absorb it",
-			status["500"], status["502"])
+			l.status["500"], l.status["502"])
 	}
-	if status["200"] == 0 {
+	if l.status["200"] == 0 {
 		return s, fmt.Errorf("gw_failover: no request ever succeeded")
 	}
 	return s, nil
@@ -507,58 +622,17 @@ func gwHedgeArm(label string, hedged bool, conc int, dur time.Duration, seed int
 		return summary{}, fmt.Errorf("%s: scraping gateway: %w", label, err)
 	}
 
-	var (
-		mu        sync.Mutex
-		latencies []float64
-		requests  int
-		errs      int
-	)
-	deadline := time.Now().Add(dur)
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed(seed, worker)))
-			for time.Now().Before(deadline) {
-				body := gwPointBody(warmShd(rng.Intn(gwHedgePool), gwHedgePool))
-				start := time.Now()
-				code, _, err := post(context.Background(), client, base+"/v1/bus", body)
-				elapsed := time.Since(start).Seconds()
-				mu.Lock()
-				requests++
-				if err != nil || code != http.StatusOK {
-					errs++
-				} else {
-					latencies = append(latencies, elapsed)
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-
+	l := driveGw(client, base, conc, dur, seed, gwHedgePool)
 	after, err := scrapeGwTier(client, base)
 	if err != nil {
 		return summary{}, fmt.Errorf("%s: scraping gateway: %w", label, err)
 	}
-	sendRatio := 0.0
-	if requests > 0 {
-		sendRatio = float64(after.Sends-before.Sends) / float64(requests)
+	s := l.summary(label, conc, dur)
+	s.HitRatio = 1
+	if l.requests > 0 {
+		s.BackendSendRatio = float64(after.Sends-before.Sends) / float64(l.requests)
 	}
-	sort.Float64s(latencies)
-	return summary{
-		Label:            label,
-		HitRatio:         1,
-		Concurrency:      conc,
-		Duration:         dur.Seconds(),
-		Requests:         requests,
-		Errors:           errs,
-		RPS:              float64(requests) / dur.Seconds(),
-		Latency:          summarize(latencies),
-		Mix:              map[string]int{"point": requests},
-		BackendSendRatio: sendRatio,
-	}, nil
+	return s, nil
 }
 
 // gwReload drives load through an affinity gateway while the backend
@@ -599,65 +673,21 @@ func gwReload(conc int, dur time.Duration, seed int64) (summary, error) {
 		reloadErr <- nil
 	}()
 
-	var (
-		mu        sync.Mutex
-		latencies []float64
-		status    = map[string]int{}
-		requests  int
-		errs      int
-	)
-	deadline := time.Now().Add(dur)
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed(seed, worker)))
-			for time.Now().Before(deadline) {
-				body := gwPointBody(warmShd(rng.Intn(64), 64))
-				start := time.Now()
-				code, _, err := post(context.Background(), client, base+"/v1/bus", body)
-				elapsed := time.Since(start).Seconds()
-				mu.Lock()
-				requests++
-				if err != nil {
-					errs++
-				} else {
-					status[fmt.Sprint(code)]++
-					if code == http.StatusOK {
-						latencies = append(latencies, elapsed)
-					}
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	sort.Float64s(latencies)
-	s := summary{
-		Label:        "gw_reload",
-		Concurrency:  conc,
-		Duration:     dur.Seconds(),
-		Requests:     requests,
-		Errors:       errs,
-		RPS:          float64(requests) / dur.Seconds(),
-		Latency:      summarize(latencies),
-		Mix:          map[string]int{"point": requests},
-		StatusCounts: status,
-	}
+	l := driveGw(client, base, conc, dur, seed, 64)
+	s := l.summary("gw_reload", conc, dur)
+	s.Errors, s.StatusCounts = l.transport, l.status
 	if err := <-reloadErr; err != nil {
 		return s, fmt.Errorf("gw_reload: %w", err)
 	}
-	if errs > 0 {
-		return s, fmt.Errorf("gw_reload: %d transport errors while the backend set changed shape", errs)
+	if l.transport > 0 {
+		return s, fmt.Errorf("gw_reload: %d transport errors while the backend set changed shape", l.transport)
 	}
-	for code, n := range status {
+	for code, n := range l.status {
 		if n > 0 && strings.HasPrefix(code, "5") {
 			return s, fmt.Errorf("gw_reload: clients saw %d %ss during reloads — membership changes must be invisible", n, code)
 		}
 	}
-	if status["200"] == 0 {
+	if l.status["200"] == 0 {
 		return s, fmt.Errorf("gw_reload: no request ever succeeded")
 	}
 	view, err := scrapeGwTier(client, base)
@@ -681,11 +711,7 @@ func gwReload(conc int, dur time.Duration, seed int64) (summary, error) {
 func runGw(stdout, stderr io.Writer, conc int, dur time.Duration, seed int64, outPath string) error {
 	rep := report{Tool: "cohereload", Target: "in-process gateway fleet (gw)"}
 
-	affinity, err := gwBenchArm(gw.PolicyAffinity, "gw_affinity", conc, dur, seed)
-	if err != nil {
-		return err
-	}
-	rr, err := gwBenchArm(gw.PolicyRoundRobin, "gw_roundrobin", conc, dur, seed+1)
+	affinity, rr, ratios, err := gwCompare(conc, dur, seed, nil)
 	if err != nil {
 		return err
 	}
@@ -694,27 +720,17 @@ func runGw(stdout, stderr io.Writer, conc int, dur time.Duration, seed int64, ou
 		fmt.Fprintf(stderr, "cohereload: %s: %d requests, %d errors, backend hit ratio %.3f, p99 %.3fms\n",
 			s.Label, s.Requests, s.Errors, s.BackendHitRatio, s.Latency.P99)
 	}
-	if affinity.Errors > 0 || rr.Errors > 0 {
-		return fmt.Errorf("gw bench: errors under healthy fleets (affinity %d, roundrobin %d)", affinity.Errors, rr.Errors)
-	}
-	if rr.BackendHitRatio <= 0 {
-		return fmt.Errorf("gw bench: round-robin arm recorded no lookups")
-	}
-	if gain := affinity.BackendHitRatio / rr.BackendHitRatio; gain < gwHitRatioGate {
-		return fmt.Errorf("gw bench: affinity hit ratio %.3f is only %.2fx round-robin's %.3f (gate %.1fx)",
-			affinity.BackendHitRatio, gain, rr.BackendHitRatio, gwHitRatioGate)
-	}
-	if affinity.Latency.P99 > rr.Latency.P99*gwP99Band {
+	fmt.Fprintf(stderr, "cohereload: gw: per-round affinity/round-robin p99 ratios %.2f\n", ratios)
+	if err := gwCompareGate(affinity, rr, ratios); err != nil {
 		// The race detector's instrumentation perturbs latency tails far
-		// past the band, so race builds (`go test -race`) report the
+		// past the band, so race builds (`go test -race`) report a p99
 		// miss instead of failing; normal builds — `make gw-smoke` and
-		// the bench-json record benchdiff gates — enforce it.
-		if !raceEnabled {
-			return fmt.Errorf("gw bench: affinity p99 %.3fms worse than round-robin's %.3fms (band %.2fx)",
-				affinity.Latency.P99, rr.Latency.P99, gwP99Band)
+		// the bench-json record benchdiff gates — enforce it. The
+		// error and hit-ratio gates hold under every build.
+		if !raceEnabled || !errors.Is(err, errGwP99) {
+			return err
 		}
-		fmt.Fprintf(stderr, "cohereload: gw: affinity p99 %.3fms over round-robin's %.3fms band — informational under the race detector\n",
-			affinity.Latency.P99, rr.Latency.P99)
+		fmt.Fprintf(stderr, "cohereload: %v — informational under the race detector\n", err)
 	}
 
 	// The hedging comparison runs both arms on the same seed: same tail

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"swcc/internal/queueing"
@@ -20,6 +21,13 @@ import (
 // between, the MVA variant queues blocked requests instead of retrying
 // them, so it is mildly more optimistic.
 func EvaluateNetworkMVA(s Scheme, p Params, stages int) (NetworkPoint, error) {
+	return EvaluateNetworkMVACtx(context.Background(), s, p, stages)
+}
+
+// EvaluateNetworkMVACtx is EvaluateNetworkMVA that stops with ctx's
+// error once ctx is done, checked once per population of the MVA
+// recursion.
+func EvaluateNetworkMVACtx(ctx context.Context, s Scheme, p Params, stages int) (NetworkPoint, error) {
 	if stages < 1 {
 		return NetworkPoint{}, fmt.Errorf("core: stages %d < 1", stages)
 	}
@@ -63,7 +71,7 @@ func EvaluateNetworkMVA(s Scheme, p Params, stages int) (NetworkPoint, error) {
 		}
 		return float64(nproc) * pn.Forward(m)
 	}
-	res, err := queueing.LoadDependentMVA(think, rate, nproc)
+	res, err := queueing.LoadDependentMVACtx(ctx, think, rate, nproc)
 	if err != nil {
 		return NetworkPoint{}, err
 	}

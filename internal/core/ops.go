@@ -98,13 +98,24 @@ type Cost struct {
 }
 
 // CostTable maps each operation to its cost. Operations a scheme never
-// issues may be absent; looking them up yields zero cost.
+// issues may be absent; looking them up yields zero cost. A table is
+// immutable once built, so its content fingerprint is computed once, at
+// construction.
 type CostTable struct {
 	// Name describes the hardware configuration ("bus", "network n=8").
 	Name  string
 	costs [numOps]Cost
 	set   [numOps]bool
+	fp    string
 }
+
+// Fingerprint returns the table's content key: the Name, then each
+// defined operation's index with the exact bits of its CPU and
+// interconnect costs. Two separately built tables with equal content
+// share it, so caches keyed on it share entries across table pointers.
+// Snapshot demand keys embed this string: changing its format strands
+// every restored demand entry.
+func (t *CostTable) Fingerprint() string { return t.fp }
 
 // Cost returns the cost of op (zero if the table does not define it).
 func (t *CostTable) Cost(op Op) Cost {
@@ -123,6 +134,18 @@ func (t *CostTable) Defines(op Op) bool {
 func (t *CostTable) define(op Op, cpu, interconnect float64) {
 	t.costs[op] = Cost{CPU: cpu, Interconnect: interconnect}
 	t.set[op] = true
+}
+
+// seal computes the fingerprint of a fully defined table and returns it.
+func (t *CostTable) seal() *CostTable {
+	fp := t.Name
+	for op, c := range t.costs {
+		if t.set[op] {
+			fp += fmt.Sprintf("|%d:%x:%x", op, c.CPU, c.Interconnect)
+		}
+	}
+	t.fp = fp
+	return t
 }
 
 // BusCosts returns the bus system model of paper Table 1: a RISC machine

@@ -69,6 +69,29 @@ func TestCostTableInterconnectNeverExceedsCPU(t *testing.T) {
 	}
 }
 
+// TestCostTableFingerprintPinned pins the fingerprint format. Snapshot
+// demand keys embed it, and ModelFingerprint does not hash it, so a
+// format drift would restore demand entries that can never hit. The
+// literals are the strings the evaluator's demand keys have always
+// carried for these tables.
+func TestCostTableFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		tab  *CostTable
+		want string
+	}{
+		{BusCosts(), "bus|0:0x1p+00:0x0p+00|1:0x1.4p+03:0x1.cp+02|2:0x1.cp+03:0x1.6p+03|3:0x1.4p+02:0x1p+02|4:0x1p+01:0x1p+00|5:0x1p+00:0x0p+00|6:0x1.8p+02:0x1p+02|7:0x1p+01:0x1p+00|8:0x1.2p+03:0x1.8p+02|9:0x1.ap+03:0x1.4p+03|10:0x1p+00:0x0p+00|11:0x1p+01:0x1p+00"},
+		{BusCostsForBlock(8), "bus (8-word blocks, 2-cycle memory)|0:0x1p+00:0x0p+00|1:0x1.cp+03:0x1.6p+03|2:0x1.6p+04:0x1.3p+04|3:0x1.4p+02:0x1p+02|4:0x1p+01:0x1p+00|5:0x1p+00:0x0p+00|6:0x1.4p+03:0x1p+03|7:0x1p+01:0x1p+00|8:0x1.ap+03:0x1.4p+03|9:0x1.5p+04:0x1.2p+04|10:0x1p+00:0x0p+00|11:0x1p+01:0x1p+00"},
+		{NetworkCosts(8), "network n=8|0:0x1p+00:0x0p+00|1:0x1.9p+04:0x1.6p+04|2:0x1.cp+04:0x1.9p+04|3:0x1.4p+04:0x1.3p+04|4:0x1.3p+04:0x1.2p+04|5:0x1p+00:0x0p+00|6:0x1.7p+04:0x1.5p+04"},
+	} {
+		if got := tc.tab.Fingerprint(); got != tc.want {
+			t.Errorf("%s fingerprint drifted:\n got %q\nwant %q", tc.tab.Name, got, tc.want)
+		}
+	}
+	if BusCosts() == BusCosts() || BusCosts().Fingerprint() != BusCosts().Fingerprint() {
+		t.Error("separately built equal tables must be distinct pointers sharing one fingerprint")
+	}
+}
+
 func TestOpString(t *testing.T) {
 	if OpCleanMissMem.String() != "clean miss (mem)" {
 		t.Errorf("got %q", OpCleanMissMem.String())

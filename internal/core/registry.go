@@ -163,6 +163,18 @@ func SchemeNames() []string { return registry.Names() }
 // default registry.
 func DefaultCandidates() []Scheme { return registry.Candidates() }
 
+// SchemeLabel is a scheme's identity string: String when the scheme
+// carries configuration (Hybrid's lock fraction), Name otherwise. Two
+// differently configured instances of one scheme therefore never share
+// a label. Evaluator cache keys, API responses and gateway routing keys
+// all use it, and RegisteredLabel parses it back.
+func SchemeLabel(s Scheme) string {
+	if str, ok := s.(fmt.Stringer); ok {
+		return str.String()
+	}
+	return s.Name()
+}
+
 // RegisteredLabel reports whether a scheme label — a Scheme.Name() or
 // String() value such as "Hybrid(lock=0.30)" or "Software-Flush+Prio" —
 // refers to a scheme registered in the default registry. Snapshot

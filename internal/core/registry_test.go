@@ -105,16 +105,6 @@ func TestSchemeByNameErrorListsValidNames(t *testing.T) {
 	}
 }
 
-// cacheLabel mirrors the cache-identity rule used by the sweep
-// evaluator, serve handlers, and gateway keys: String when the scheme
-// carries configuration, Name otherwise.
-func cacheLabel(s Scheme) string {
-	if str, ok := s.(fmt.Stringer); ok {
-		return str.String()
-	}
-	return s.Name()
-}
-
 // TestCanonicalFingerprintsPairwiseDistinct: every registered scheme
 // must produce a distinct, stable cache fingerprint — the (label,
 // canonical params) pair the memo cache, snapshots, and gateway
@@ -125,7 +115,7 @@ func TestCanonicalFingerprintsPairwiseDistinct(t *testing.T) {
 	seen := map[string]string{} // fingerprint -> scheme name
 	for _, info := range RegisteredSchemes() {
 		s := info.Scheme
-		fp := fmt.Sprintf("%s|%+v", cacheLabel(s), CanonicalParams(s, p))
+		fp := fmt.Sprintf("%s|%+v", SchemeLabel(s), CanonicalParams(s, p))
 		if prev, ok := seen[fp]; ok {
 			t.Errorf("%s and %s share cache fingerprint %q", prev, s.Name(), fp)
 		}
@@ -139,8 +129,8 @@ func TestCanonicalFingerprintsPairwiseDistinct(t *testing.T) {
 		{HybridUpdate{UpdateFrac: 0.5}, HybridUpdate{UpdateFrac: 0.7}},
 		{PriorityBus{Inner: SoftwareFlush{}}, SoftwareFlush{}},
 	} {
-		if cacheLabel(tc.a) == cacheLabel(tc.b) {
-			t.Errorf("distinct configurations share label %q", cacheLabel(tc.a))
+		if SchemeLabel(tc.a) == SchemeLabel(tc.b) {
+			t.Errorf("distinct configurations share label %q", SchemeLabel(tc.a))
 		}
 	}
 }
@@ -150,8 +140,8 @@ func TestCanonicalFingerprintsPairwiseDistinct(t *testing.T) {
 // from unknown schemes fail.
 func TestRegisteredLabel(t *testing.T) {
 	for _, info := range RegisteredSchemes() {
-		if !RegisteredLabel(cacheLabel(info.Scheme)) {
-			t.Errorf("label %q of registered scheme not recognized", cacheLabel(info.Scheme))
+		if !RegisteredLabel(SchemeLabel(info.Scheme)) {
+			t.Errorf("label %q of registered scheme not recognized", SchemeLabel(info.Scheme))
 		}
 	}
 	for _, label := range []string{

@@ -61,7 +61,7 @@ func (s SystemSpec) Table() *CostTable {
 		// An invalidation is an address-only broadcast: same shape as a
 		// posted write-through (1 address cycle on the bus), no data words.
 		t.define(OpInvalidate, 2, 1)
-		return t
+		return t.seal()
 	}
 	n := float64(s.Stages)
 	name := fmt.Sprintf("network n=%d", s.Stages)
@@ -76,5 +76,5 @@ func (s SystemSpec) Table() *CostTable {
 	t.define(OpDirtyFlush, 3+w+2*n, 1+w+2*n)
 	t.define(OpWriteThrough, 3+2*n, 2+2*n)
 	t.define(OpReadThrough, 2+m+2*n, 1+m+2*n)
-	return t
+	return t.seal()
 }

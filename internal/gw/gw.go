@@ -158,9 +158,9 @@ type backend struct {
 	healthy   atomic.Bool
 	fails     atomic.Int32 // consecutive probe failures
 	warmth    atomic.Pointer[serve.ReadyzCache]
-	advWeight atomic.Uint64            // float64 bits of the /readyz-advertised weight
-	modelFP   atomic.Pointer[string]   // model fingerprint from the last /readyz probe
-	stop      context.CancelFunc       // cancels this backend's probe loop (guarded by Gateway.mu)
+	advWeight atomic.Uint64          // float64 bits of the /readyz-advertised weight
+	modelFP   atomic.Pointer[string] // model fingerprint from the last /readyz probe
+	stop      context.CancelFunc     // cancels this backend's probe loop (guarded by Gateway.mu)
 
 	routes    atomic.Int64    // requests answered from here
 	sends     atomic.Int64    // proxied attempts issued here, hedges and retries included

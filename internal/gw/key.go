@@ -97,7 +97,7 @@ func pointKey(body []byte) (uint64, bool) {
 		return 0, false
 	}
 	cp := core.CanonicalParams(scheme, p)
-	h := hashString(fnvOffset, schemeLabel(scheme))
+	h := hashString(fnvOffset, core.SchemeLabel(scheme))
 	for _, f := range [...]float64{
 		cp.LS, cp.MsDat, cp.MsIns, cp.MD, cp.Shd, cp.WR,
 		cp.APL, cp.MdShd, cp.OClean, cp.OPres, cp.NShd,
@@ -152,15 +152,6 @@ func keyParams(level string, params json.RawMessage) (core.Params, error) {
 		return core.MiddleParams(), nil
 	}
 	return core.ReadParams(bytes.NewReader(params))
-}
-
-// schemeLabel mirrors the backend's cache identity for a scheme: String
-// when it carries configuration, Name otherwise.
-func schemeLabel(s core.Scheme) string {
-	if str, ok := s.(fmt.Stringer); ok {
-		return str.String()
-	}
-	return s.Name()
 }
 
 // responseKey derives the response-cache key for one request, and

@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"context"
 	"fmt"
 	"math"
 )
@@ -31,6 +32,13 @@ type LoadDependentResult struct {
 // load-dependent service center characterised by its service rate at
 // various loads."
 func LoadDependentMVA(think float64, rate func(k int) float64, customers int) ([]LoadDependentResult, error) {
+	return LoadDependentMVACtx(context.Background(), think, rate, customers)
+}
+
+// LoadDependentMVACtx is LoadDependentMVA with a cancellation point per
+// population: the solve is quadratic in customers, so at a 2^20-port
+// network it would otherwise run for hours past any deadline.
+func LoadDependentMVACtx(ctx context.Context, think float64, rate func(k int) float64, customers int) ([]LoadDependentResult, error) {
 	if customers < 1 {
 		return nil, fmt.Errorf("%w: customers %d < 1", ErrInvalidInput, customers)
 	}
@@ -42,6 +50,9 @@ func LoadDependentMVA(think float64, rate func(k int) float64, customers int) ([
 	}
 	results := make([]LoadDependentResult, customers)
 	for n := 1; n <= customers; n++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		// Unnormalized stationary probabilities p[k], k customers at
 		// the server.
 		p := make([]float64, n+1)

@@ -95,7 +95,6 @@ func (s *Server) handleSweep(ctx context.Context, body []byte) (any, error) {
 		}
 		jobs[i] = sweepJob{scheme: scheme, params: p, procs: procs, point: pr.Point}
 	}
-	costs := core.BusCosts()
 	return s.solve(ctx, func() (any, error) {
 		// Points sharing one (scheme, canonical workload) form a group a
 		// single worker solves population-ascending through a CurveRun —
@@ -120,7 +119,7 @@ func (s *Server) handleSweep(ctx context.Context, body []byte) (any, error) {
 		sweep.EachCtx(ctx, 0, len(groups), func(g int) error {
 			var run *sweep.CurveRun
 			for _, i := range groups[g] {
-				s.solveSweepPoint(ctx, jobs[i], costs, &run, &results[i], &pointBufs[i], &errs[i])
+				s.solveSweepPoint(ctx, jobs[i], &run, &results[i], &pointBufs[i], &errs[i])
 			}
 			if run != nil {
 				run.Finish(ctx)
@@ -140,7 +139,7 @@ func (s *Server) handleSweep(ctx context.Context, body []byte) (any, error) {
 // fault-injection site and cancellation point, and the pool's worker
 // goroutines have no recover of their own — an injected (or model)
 // panic here must become this point's error, not kill the process.
-func (s *Server) solveSweepPoint(ctx context.Context, j sweepJob, costs *core.CostTable, run **sweep.CurveRun, out *busResponse, pointBuf **[]core.BusPoint, errOut *error) {
+func (s *Server) solveSweepPoint(ctx context.Context, j sweepJob, run **sweep.CurveRun, out *busResponse, pointBuf **[]core.BusPoint, errOut *error) {
 	defer func() {
 		if p := recover(); p != nil {
 			*errOut = fmt.Errorf("serve: internal error: %v", p)
@@ -155,14 +154,14 @@ func (s *Server) solveSweepPoint(ctx context.Context, j sweepJob, costs *core.Co
 		return
 	}
 	if *run == nil {
-		r, err := s.ev.StartCurveRun(ctx, j.scheme, j.params, costs)
+		r, err := s.ev.StartCurveRun(ctx, j.scheme, j.params, s.bus)
 		if err != nil {
 			*errOut = err
 			return
 		}
 		*run = r
 	}
-	resp := busResponse{Scheme: schemeLabel(j.scheme), Costs: costs.Name, Procs: j.procs}
+	resp := busResponse{Scheme: core.SchemeLabel(j.scheme), Costs: s.bus.Name, Procs: j.procs}
 	if j.point {
 		pt, err := (*run).BusPointAt(ctx, j.procs)
 		if err != nil {

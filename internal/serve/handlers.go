@@ -286,15 +286,6 @@ func knobArgs(name string, lockFrac, updateFrac *float64) (lf, uf *float64) {
 	return lf, uf
 }
 
-// schemeLabel is the cache's identity string for a scheme: Name, or
-// String when the scheme carries configuration (Hybrid's lock fraction).
-func schemeLabel(s core.Scheme) string {
-	if str, ok := s.(fmt.Stringer); ok {
-		return str.String()
-	}
-	return s.Name()
-}
-
 func (s *Server) checkProcs(procs int) (int, error) {
 	if procs == 0 {
 		return 16, nil
@@ -351,18 +342,17 @@ func (s *Server) handleBus(ctx context.Context, body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	costs := core.BusCosts()
 	return s.solve(ctx, func() (any, error) {
-		resp := busResponse{Scheme: schemeLabel(scheme), Costs: costs.Name, Procs: procs}
+		resp := busResponse{Scheme: core.SchemeLabel(scheme), Costs: s.bus.Name, Procs: procs}
 		if req.Point {
-			pt, err := s.ev.BusPointCtx(ctx, scheme, p, costs, procs)
+			pt, err := s.ev.BusPointCtx(ctx, scheme, p, s.bus, procs)
 			if err != nil {
 				return nil, err
 			}
 			resp.Points = []core.BusPoint{pt}
 			return resp, nil
 		}
-		pts, err := s.ev.EvaluateBusCtx(ctx, scheme, p, costs, procs)
+		pts, err := s.ev.EvaluateBusCtx(ctx, scheme, p, s.bus, procs)
 		if err != nil {
 			return nil, err
 		}
@@ -420,14 +410,14 @@ func (s *Server) handleNetwork(ctx context.Context, body []byte) (any, error) {
 		var pt core.NetworkPoint
 		var err error
 		if model == "mva" {
-			pt, err = core.EvaluateNetworkMVA(scheme, p, stages)
+			pt, err = core.EvaluateNetworkMVACtx(ctx, scheme, p, stages)
 		} else {
 			pt, err = core.EvaluateNetworkAt(scheme, p, stages)
 		}
 		if err != nil {
 			return nil, err
 		}
-		return networkResponse{Scheme: schemeLabel(scheme), Model: model, Point: pt}, nil
+		return networkResponse{Scheme: core.SchemeLabel(scheme), Model: model, Point: pt}, nil
 	})
 }
 
@@ -493,7 +483,7 @@ func (s *Server) handleAdvisor(ctx context.Context, body []byte) (any, error) {
 		}
 		hardware = fmt.Sprintf("%d-processor bus", procs)
 		rank = func() ([]core.Ranking, error) {
-			return core.RankBusWith(s.ev, candidates, p, core.BusCosts(), procs)
+			return core.RankBusWith(s.ev, candidates, p, s.bus, procs)
 		}
 	} else {
 		if req.Procs != 0 {
@@ -516,7 +506,7 @@ func (s *Server) handleAdvisor(ctx context.Context, body []byte) (any, error) {
 		resp := advisorResponse{Hardware: hardware}
 		for _, r := range ranked {
 			resp.Rankings = append(resp.Rankings, rankingJSON{
-				Scheme:     schemeLabel(r.Scheme),
+				Scheme:     core.SchemeLabel(r.Scheme),
 				Power:      r.Power,
 				Efficiency: r.Efficiency,
 			})

@@ -249,7 +249,6 @@ func (s *Server) gridJob(req jobSubmitRequest, schemes []core.Scheme, base core.
 		}
 	}
 	points := len(schemes) * len(xs) * (p2 - p1 + 1)
-	costs := core.BusCosts()
 
 	run := func(ctx context.Context, j *jobs.Job) error {
 		for _, sch := range schemes {
@@ -264,7 +263,7 @@ func (s *Server) gridJob(req jobSubmitRequest, schemes []core.Scheme, base core.
 					v := x
 					xp = &v
 				}
-				if err := s.runGridCurve(ctx, j, sch, p, xp, costs, p1, p2); err != nil {
+				if err := s.runGridCurve(ctx, j, sch, p, xp, p1, p2); err != nil {
 					return err
 				}
 			}
@@ -280,8 +279,8 @@ func (s *Server) gridJob(req jobSubmitRequest, schemes []core.Scheme, base core.
 // points stage in a pooled buffer that is released once the rows are
 // encoded. The solver semaphore is held only while solving — never
 // across Push, which may block on a slow reader.
-func (s *Server) runGridCurve(ctx context.Context, j *jobs.Job, sch core.Scheme, p core.Params, x *float64, costs *core.CostTable, p1, p2 int) error {
-	label := schemeLabel(sch)
+func (s *Server) runGridCurve(ctx context.Context, j *jobs.Job, sch core.Scheme, p core.Params, x *float64, p1, p2 int) error {
+	label := core.SchemeLabel(sch)
 	var run *sweep.CurveRun
 	defer func() {
 		if run != nil {
@@ -298,7 +297,7 @@ func (s *Server) runGridCurve(ctx context.Context, j *jobs.Job, sch core.Scheme,
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		rows, ok, errs, err := s.solveGridChunk(ctx, &run, sch, p, x, label, costs, lo, hi)
+		rows, ok, errs, err := s.solveGridChunk(ctx, &run, sch, p, x, label, lo, hi)
 		<-s.jobSem
 		if err != nil {
 			return err
@@ -315,7 +314,7 @@ func (s *Server) runGridCurve(ctx context.Context, j *jobs.Job, sch core.Scheme,
 // cell is independently fault-injected and panic-recovered: a failing
 // cell becomes an error row and the chunk carries on, exactly like a
 // /v1/sweep cell. Only a done context aborts the job.
-func (s *Server) solveGridChunk(ctx context.Context, run **sweep.CurveRun, sch core.Scheme, p core.Params, x *float64, label string, costs *core.CostTable, lo, hi int) (rows [][]byte, ok, errs uint64, err error) {
+func (s *Server) solveGridChunk(ctx context.Context, run **sweep.CurveRun, sch core.Scheme, p core.Params, x *float64, label string, lo, hi int) (rows [][]byte, ok, errs uint64, err error) {
 	buf := sweep.AcquirePoints(hi - lo + 1)
 	defer sweep.ReleasePoints(buf)
 	rows = make([][]byte, 0, hi-lo+1)
@@ -324,7 +323,7 @@ func (s *Server) solveGridChunk(ctx context.Context, run **sweep.CurveRun, sch c
 			return nil, 0, 0, err
 		}
 		row := jobRowJSON{Scheme: label, X: x, Procs: n}
-		pt, perr := s.solveJobPoint(ctx, run, sch, p, costs, n)
+		pt, perr := s.solveJobPoint(ctx, run, sch, p, n)
 		if perr != nil {
 			if ctx.Err() != nil {
 				return nil, 0, 0, ctx.Err()
@@ -348,7 +347,7 @@ func (s *Server) solveGridChunk(ctx context.Context, run **sweep.CurveRun, sch c
 // solveJobPoint is one grid cell: fault injection, then one incremental
 // curve point, with a panic (injected or model) recovered into the
 // cell's error.
-func (s *Server) solveJobPoint(ctx context.Context, run **sweep.CurveRun, sch core.Scheme, p core.Params, costs *core.CostTable, n int) (pt core.BusPoint, err error) {
+func (s *Server) solveJobPoint(ctx context.Context, run **sweep.CurveRun, sch core.Scheme, p core.Params, n int) (pt core.BusPoint, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: internal error: %v", r)
@@ -358,7 +357,7 @@ func (s *Server) solveJobPoint(ctx context.Context, run **sweep.CurveRun, sch co
 		return core.BusPoint{}, err
 	}
 	if *run == nil {
-		r, err := s.ev.StartCurveRun(ctx, sch, p, costs)
+		r, err := s.ev.StartCurveRun(ctx, sch, p, s.bus)
 		if err != nil {
 			return core.BusPoint{}, err
 		}
@@ -420,7 +419,7 @@ func (s *Server) refineJob(req jobSubmitRequest, schemes []core.Scheme, base cor
 			for _, pt := range pts {
 				line, err := json.Marshal(refineRowJSON{
 					Wave: wave, X: pt.X, Power: pt.Power,
-					Best: schemeLabel(schemes[pt.Best]),
+					Best: core.SchemeLabel(schemes[pt.Best]),
 				})
 				if err != nil {
 					return err
@@ -438,8 +437,8 @@ func (s *Server) refineJob(req jobSubmitRequest, schemes []core.Scheme, base cor
 		for _, b := range res.Boundaries {
 			var row refineBoundaryJSON
 			row.Boundary.Lo, row.Boundary.Hi = b.Lo, b.Hi
-			row.Boundary.LoBest = schemeLabel(schemes[b.LoBest])
-			row.Boundary.HiBest = schemeLabel(schemes[b.HiBest])
+			row.Boundary.LoBest = core.SchemeLabel(schemes[b.LoBest])
+			row.Boundary.HiBest = core.SchemeLabel(schemes[b.HiBest])
 			line, err := json.Marshal(row)
 			if err != nil {
 				return err

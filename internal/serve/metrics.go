@@ -186,7 +186,6 @@ func (m *metrics) write(w io.Writer, ev *sweep.Evaluator, inj *fault.Injector, r
 	fmt.Fprintf(w, "# HELP swcc_cache_entries Current entries per evaluator cache.\n# TYPE swcc_cache_entries gauge\n")
 	fmt.Fprintf(w, "swcc_cache_entries{cache=\"demand\"} %d\n", st.DemandEntries)
 	fmt.Fprintf(w, "swcc_cache_entries{cache=\"mva\"} %d\n", st.CurveEntries)
-	fmt.Fprintf(w, "swcc_cache_entries{cache=\"table\"} %d\n", st.TableEntries)
 
 	fmt.Fprintf(w, "# HELP swcc_singleflight_dedups_total Concurrent misses served by another goroutine's in-flight solve.\n# TYPE swcc_singleflight_dedups_total counter\n")
 	fmt.Fprintf(w, "swcc_singleflight_dedups_total{cache=\"demand\"} %d\n", st.DemandDedups)

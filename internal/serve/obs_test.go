@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"log/slog"
 	"net/http"
@@ -180,7 +181,7 @@ func TestMetricsExposeStageAndEndpointHistograms(t *testing.T) {
 func TestSingleflightWaitStageRecorded(t *testing.T) {
 	release := make(chan struct{})
 	s := NewServer(Config{Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))})
-	s.beforeSolve = func() { <-release }
+	s.beforeSolve = func(context.Context) { <-release }
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 

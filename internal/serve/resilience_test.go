@@ -33,7 +33,7 @@ func blockFirstSolve(s *Server) (entered, release chan struct{}) {
 	entered = make(chan struct{})
 	release = make(chan struct{})
 	var once atomic.Bool
-	s.beforeSolve = func() {
+	s.beforeSolve = func(context.Context) {
 		if once.CompareAndSwap(false, true) {
 			close(entered)
 			<-release
@@ -298,13 +298,29 @@ func TestInjectedErrorIs503(t *testing.T) {
 
 // TestInjectedPanicRecovered checks a panic injected at the solve
 // boundary is contained to a 500 — the process survives and keeps
-// serving.
+// serving. With one solve slot, the follow-up request also proves the
+// panic released its slot: a leaked slot would turn it into a 503.
+// Seed 6 at PanicP=0.5 draws a panic for the first solve and none for
+// the second; the injector's counts confirm it.
 func TestInjectedPanicRecovered(t *testing.T) {
-	inj := fault.New(fault.Config{Seed: 1, PanicP: 1})
-	_, ts := newTestServer(t, Config{Fault: inj})
+	inj := fault.New(fault.Config{Seed: 6, PanicP: 0.5})
+	s, ts := newTestServer(t, Config{Fault: inj, MaxInFlight: 1, RequestTimeout: time.Second})
 	code, _ := post(t, ts, "/v1/bus", `{"scheme": "base"}`)
 	if code != http.StatusInternalServerError {
 		t.Errorf("injected panic: status %d, want 500", code)
+	}
+	if _, _, panics := inj.Counts(); panics != 1 {
+		t.Fatalf("schedule fired %d panics on the first solve, want 1; the seed no longer exercises this path", panics)
+	}
+	code, body := post(t, ts, "/v1/bus", `{"scheme": "base"}`)
+	if code != http.StatusOK {
+		t.Errorf("solve after the panic: status %d, want 200 (body: %s)", code, body)
+	}
+	if _, _, panics := inj.Counts(); panics != 1 {
+		t.Errorf("follow-up solve drew a panic too (%d total); the seed no longer isolates one", panics)
+	}
+	if n := s.met.solveInFlight.Load(); n != 0 {
+		t.Errorf("solveInFlight = %d after both solves returned, want 0", n)
 	}
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -313,6 +329,53 @@ func TestInjectedPanicRecovered(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz after panic: %d", resp.StatusCode)
+	}
+}
+
+// TestClientDisconnectMidSolve: a client that hangs up while its solve
+// runs ends that solve at its next cancellation point. The request is
+// recorded as 499, counted exactly once as a cancellation, and its slot
+// is free for the next request.
+func TestClientDisconnectMidSolve(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInFlight: 1, RequestTimeout: 5 * time.Second})
+	entered := make(chan struct{})
+	var once atomic.Bool
+	s.beforeSolve = func(ctx context.Context) {
+		if once.CompareAndSwap(false, true) {
+			close(entered)
+			<-ctx.Done()
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/bus",
+		strings.NewReader(`{"scheme": "base"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqDone := make(chan struct{})
+	go func() {
+		defer close(reqDone)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-entered
+	cancel()
+	<-reqDone
+
+	waitUntil(t, 2*time.Second, "the 499 to be recorded", func() bool {
+		c, ok := s.met.requests.Load([2]string{"/v1/bus", "499"})
+		return ok && c.(*atomic.Uint64).Load() == 1
+	})
+	if got := s.met.cancels.Load(); got != 1 {
+		t.Errorf("cancels = %d, want exactly 1", got)
+	}
+	if n := s.met.solveInFlight.Load(); n != 0 {
+		t.Errorf("solveInFlight = %d after the abandoned solve, want 0", n)
+	}
+	if code, body := post(t, ts, "/v1/bus", `{"scheme": "base"}`); code != http.StatusOK {
+		t.Errorf("solve after the disconnect: status %d, want 200 (body: %s)", code, body)
 	}
 }
 

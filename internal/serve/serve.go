@@ -7,10 +7,10 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"runtime/debug"
 	"sync/atomic"
 	"time"
 
+	"swcc/internal/core"
 	"swcc/internal/fault"
 	"swcc/internal/jobs"
 	"swcc/internal/obs"
@@ -144,10 +144,15 @@ type Server struct {
 	// away from a booting or wound-down backend without killing it.
 	notReady atomic.Pointer[string]
 
-	// beforeSolve, when non-nil, runs inside the solve goroutine before
-	// the model work. Tests use it to hold a request open so the
-	// timeout and busy paths can be exercised deterministically.
-	beforeSolve func()
+	// bus is the bus cost table every bus-model request solves against.
+	// Tables are immutable, so one shared instance serves all requests.
+	bus *core.CostTable
+
+	// beforeSolve, when non-nil, runs under the solve slot before the
+	// model work, with the request context. Tests use it to hold a
+	// request open so the timeout, busy and disconnect paths can be
+	// exercised deterministically.
+	beforeSolve func(ctx context.Context)
 }
 
 // NewServer returns a server with a fresh evaluator cache, bounded when
@@ -164,6 +169,7 @@ func NewServer(cfg Config) *Server {
 		sem:    make(chan struct{}, cfg.MaxInFlight),
 		jobSem: make(chan struct{}, runtime.GOMAXPROCS(0)),
 		start:  time.Now(),
+		bus:    core.BusCosts(),
 	}
 	s.jobs = jobs.NewRegistry(jobs.Config{
 		MaxJobs:   cfg.MaxJobs,
@@ -254,11 +260,14 @@ type validateStartKey struct{}
 // genuinely had no capacity in time), while a request whose client
 // disconnects while queued fails context.Canceled (the client gave up;
 // that is logged and counted as a cancellation, not as "server busy").
-// A request that times out mid-solve fails ctx.Err() (504). A timed-out
-// solve keeps its slot until the goroutine finishes, so MaxInFlight
-// bounds real model work even when clients have given up — but the
-// evaluator's cancellation points make that goroutine wind down at the
-// next ctx check instead of completing the abandoned work.
+//
+// fn runs inline in the handler goroutine, holding its slot until it
+// returns, so MaxInFlight bounds real model work. A request that times
+// out or is abandoned mid-solve ends at the solve's next cancellation
+// point (the evaluator's ctx checks, fault.Point, sweep.EachCtx), which
+// surfaces as ctx.Err(): 504, or 499 with the disconnect counted. A
+// panic in fn unwinds through the deferred slot release to the
+// instrument middleware's recover, which answers 500.
 //
 // Entering solve is also the decode/validate stage boundary: everything
 // the handler did between reading the body and calling solve was
@@ -283,53 +292,21 @@ func (s *Server) solve(ctx context.Context, fn func() (any, error)) (any, error)
 		return nil, errBusy
 	}
 	s.met.solveInFlight.Add(1)
-	type res struct {
-		v   any
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		defer func() {
-			s.met.solveInFlight.Add(-1)
-			<-s.sem
-		}()
-		// The solve runs outside the handler goroutine, so the
-		// instrument middleware's recover cannot catch a panic here;
-		// convert it to a 500 instead of killing the process.
-		defer func() {
-			if p := recover(); p != nil {
-				s.log.Error("panic in model solve", "panic", p, "stack", string(debug.Stack()))
-				ch <- res{nil, fmt.Errorf("serve: internal error: %v", p)}
-			}
-		}()
-		if s.beforeSolve != nil {
-			s.beforeSolve()
-		}
-		if err := s.cfg.Fault.Point(ctx); err != nil {
-			ch <- res{nil, err}
-			return
-		}
-		v, err := fn()
-		ch <- res{v, err}
+	defer func() {
+		s.met.solveInFlight.Add(-1)
+		<-s.sem
 	}()
-	select {
-	case r := <-ch:
-		return r.v, r.err
-	case <-ctx.Done():
-		if err := ctx.Err(); errors.Is(err, context.Canceled) {
-			s.met.cancels.Add(1)
-			s.log.Debug("client gone mid-solve; work stops at its next cancellation point")
-		}
-		// The abandoned solve may still complete into ch; nobody will
-		// encode that response, so its pooled buffers would leak from the
-		// pools' accounting. Drain it and release off the request path.
-		go func() {
-			if r := <-ch; r.v != nil {
-				if br, ok := r.v.(bufferReleaser); ok {
-					br.ReleaseBuffers()
-				}
-			}
-		}()
-		return nil, ctx.Err()
+	if s.beforeSolve != nil {
+		s.beforeSolve(ctx)
 	}
+	var v any
+	err := s.cfg.Fault.Point(ctx)
+	if err == nil {
+		v, err = fn()
+	}
+	if errors.Is(err, context.Canceled) {
+		s.met.cancels.Add(1)
+		s.log.Debug("client gone mid-solve; work stopped at a cancellation point")
+	}
+	return v, err
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -150,7 +151,7 @@ func TestAdvisorGolden(t *testing.T) {
 	wantResp := advisorResponse{Hardware: "32-processor bus"}
 	for _, r := range ranked {
 		wantResp.Rankings = append(wantResp.Rankings, rankingJSON{
-			Scheme: schemeLabel(r.Scheme), Power: r.Power, Efficiency: r.Efficiency,
+			Scheme: core.SchemeLabel(r.Scheme), Power: r.Power, Efficiency: r.Efficiency,
 		})
 	}
 	want, err := json.Marshal(wantResp)
@@ -273,16 +274,34 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 }
 
-// TestTimeoutPath holds a solve open past the request budget and checks
-// the client gets a 504.
+// TestTimeoutPath holds a cooperative solve open past the request
+// budget and checks the client gets a 504: the solve stops at the
+// deadline, the way the evaluator's ctx checks stop real model work.
 func TestTimeoutPath(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
 	s, ts := newTestServer(t, Config{RequestTimeout: 30 * time.Millisecond})
-	s.beforeSolve = func() { <-release }
+	s.beforeSolve = func(ctx context.Context) { <-ctx.Done() }
 	code, body := post(t, ts, "/v1/bus", `{"scheme": "base"}`)
 	if code != http.StatusGatewayTimeout {
 		t.Errorf("status %d, want 504 (body: %s)", code, body)
+	}
+}
+
+// TestNetworkMVATimeout: the load-dependent network MVA is quadratic in
+// its 2^stages processors — hours of work at -max-stages — so it must
+// stop at the request deadline with a 504 and free its slot, not run to
+// completion in the handler.
+func TestNetworkMVATimeout(t *testing.T) {
+	s, ts := newTestServer(t, Config{RequestTimeout: 50 * time.Millisecond})
+	start := time.Now()
+	code, body := post(t, ts, "/v1/network", `{"scheme": "base", "stages": 20, "model": "mva"}`)
+	if code != http.StatusGatewayTimeout {
+		t.Errorf("status %d, want 504 (body: %s)", code, body)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("answered after %v; the solve ignored its deadline", d)
+	}
+	if n := s.met.solveInFlight.Load(); n != 0 {
+		t.Errorf("solveInFlight = %d after the timed-out solve, want 0", n)
 	}
 }
 
@@ -293,7 +312,7 @@ func TestBusyPath(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := newTestServer(t, Config{MaxInFlight: 1, RequestTimeout: 60 * time.Millisecond})
 	var once bool
-	s.beforeSolve = func() {
+	s.beforeSolve = func(context.Context) {
 		if !once {
 			once = true
 			close(entered)
@@ -424,11 +443,11 @@ func TestAccessLogWritten(t *testing.T) {
 }
 
 // TestPanicRecovered checks a panic inside a model solve turns into a
-// 500 response, not a dead process (the solve runs off the handler
-// goroutine, so it needs its own recover).
+// 500 response, not a dead process: the solve runs in the handler
+// goroutine, so the instrument middleware's recover catches it.
 func TestPanicRecovered(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.beforeSolve = func() { panic("boom") }
+	s.beforeSolve = func(context.Context) { panic("boom") }
 	code, _ := post(t, ts, "/v1/bus", `{"scheme": "base"}`)
 	if code != http.StatusInternalServerError {
 		t.Errorf("status %d, want 500", code)

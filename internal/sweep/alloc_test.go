@@ -16,7 +16,7 @@ import (
 
 // TestBusPointWarmPathAllocFree pins the tentpole number: a warm
 // (demand-hit, curve-hit) BusPoint query allocates nothing, for every
-// paper scheme. Hybrid is excluded — its schemeKey goes through
+// paper scheme. Hybrid is excluded — its SchemeLabel goes through
 // fmt.Sprintf by design (configured schemes pay for their Stringer).
 func TestBusPointWarmPathAllocFree(t *testing.T) {
 	costs := core.BusCosts()

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,31 +140,18 @@ type mutexEvaluator struct {
 	mu      sync.Mutex
 	demands map[demandKey]core.Demand
 	curves  map[mvaKey][]queueing.SingleServerResult
-	tables  map[*core.CostTable]string
 }
 
 func newMutexEvaluator() *mutexEvaluator {
 	return &mutexEvaluator{
 		demands: map[demandKey]core.Demand{},
 		curves:  map[mvaKey][]queueing.SingleServerResult{},
-		tables:  map[*core.CostTable]string{},
 	}
 }
 
 func (ev *mutexEvaluator) BusPoint(s core.Scheme, p core.Params, costs *core.CostTable, nproc int) (core.BusPoint, error) {
+	key := demandKey{core.SchemeLabel(s), core.CanonicalParams(s, p), costs.Fingerprint()}
 	ev.mu.Lock()
-	fp, ok := ev.tables[costs]
-	if !ok {
-		fp = costs.Name
-		for _, op := range core.Ops() {
-			if costs.Defines(op) {
-				c := costs.Cost(op)
-				fp += fmt.Sprintf("|%d:%x:%x", int(op), c.CPU, c.Interconnect)
-			}
-		}
-		ev.tables[costs] = fp
-	}
-	key := demandKey{schemeKey(s), core.CanonicalParams(s, p), fp}
 	d, ok := ev.demands[key]
 	ev.mu.Unlock()
 	if !ok {

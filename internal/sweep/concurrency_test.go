@@ -176,10 +176,9 @@ func TestEvaluatorCapRetainsHotKey(t *testing.T) {
 	}
 }
 
-// TestTableFingerprintContentShared is the pointer-keyed memo's
-// regression test: two distinct *CostTable pointers with equal content
-// must fingerprint to one demand-cache entry (one solve, one entry, two
-// memoized pointers).
+// TestTableFingerprintContentShared: two distinct *CostTable pointers
+// with equal content must key one demand-cache entry (one solve, one
+// entry, one hit).
 func TestTableFingerprintContentShared(t *testing.T) {
 	ev := NewEvaluator()
 	p := core.MiddleParams()
@@ -204,8 +203,5 @@ func TestTableFingerprintContentShared(t *testing.T) {
 	}
 	if st.DemandEntries != 1 {
 		t.Errorf("DemandEntries = %d, want 1", st.DemandEntries)
-	}
-	if st.TableEntries != 2 {
-		t.Errorf("TableEntries = %d, want 2 (both pointers memoized)", st.TableEntries)
 	}
 }

@@ -83,11 +83,11 @@ type Stats struct {
 	// bounded-capacity CLOCK policy. Always zero on an unbounded
 	// evaluator.
 	DemandEvictions, CurveEvictions uint64
-	// DemandEntries, CurveEntries, and TableEntries are the current
-	// sizes of the three memo caches — the numbers a long-running server
-	// watches to know its caches are bounded by distinct-work (or by the
-	// configured capacity), not time.
-	DemandEntries, CurveEntries, TableEntries int
+	// DemandEntries and CurveEntries are the current sizes of the two
+	// memo caches — the numbers a long-running server watches to know
+	// its caches are bounded by distinct-work (or by the configured
+	// capacity), not time.
+	DemandEntries, CurveEntries int
 	// Shards is the number of lock stripes each cache is split across.
 	Shards int
 }
@@ -250,7 +250,6 @@ func (s *striped[K, V]) evict() {
 type Evaluator struct {
 	demands  [numShards]striped[demandKey, core.Demand]
 	curves   [numShards]striped[mvaKey, []queueing.SingleServerResult]
-	tables   tableMemo
 	shardCap int // per-shard entry cap for each cache; 0 = unbounded
 
 	demandSolves, demandHits, demandDedups atomic.Uint64
@@ -294,7 +293,6 @@ func NewEvaluatorCap(capacity int) *Evaluator {
 	for i := range ev.curves {
 		ev.curves[i].init()
 	}
-	ev.tables.m.Store(&sync.Map{})
 	return ev
 }
 
@@ -318,7 +316,6 @@ func (ev *Evaluator) Stats() Stats {
 		MVADedups:       ev.mvaDedups.Load(),
 		DemandEvictions: ev.demandEvictions.Load(),
 		CurveEvictions:  ev.curveEvictions.Load(),
-		TableEntries:    int(ev.tables.count.Load()),
 		Shards:          numShards,
 	}
 	for i := range ev.demands {
@@ -357,65 +354,6 @@ func (ev *Evaluator) ShardSizes() (demand, curve []int) {
 	return demand, curve
 }
 
-// schemeKey distinguishes schemes in the cache. Configured schemes
-// (Hybrid) expose their configuration through String, which must be used
-// instead of the bare Name so two differently configured instances never
-// share an entry.
-func schemeKey(s core.Scheme) string {
-	if str, ok := s.(fmt.Stringer); ok {
-		return str.String()
-	}
-	return s.Name()
-}
-
-// tableMemoCap bounds the pointer-keyed fingerprint memo. Batch callers
-// reuse a handful of table pointers, but a long-lived server handed a
-// fresh *CostTable per request would otherwise grow the memo (and pin
-// every table it has ever seen) forever. The memo only skips recomputing
-// a cheap string — demand results are keyed by content, not pointer — so
-// dropping it wholesale at the cap is correct and keeps memory bounded.
-const tableMemoCap = 1024
-
-// tableMemo is the pointer-keyed fingerprint memo: a sync.Map from
-// *core.CostTable to its content fingerprint, swapped wholesale for a
-// fresh map at tableMemoCap. Lookups are lock-free, so the hot demand
-// path never serializes on fingerprinting. count tracks the current
-// map's size; under a rare concurrent swap it may briefly overcount by
-// the number of in-flight inserts, which only makes the bound tighter.
-type tableMemo struct {
-	m     atomic.Pointer[sync.Map]
-	count atomic.Int64
-}
-
-// fingerprint returns a content key for the cost table, memoized by
-// pointer (tables are immutable after construction). Content-based keying
-// means two identical tables built by separate BusCosts() calls share
-// demand-cache entries even though their pointers differ.
-func (ev *Evaluator) fingerprint(costs *core.CostTable) string {
-	m := ev.tables.m.Load()
-	if fp, ok := m.Load(costs); ok {
-		return fp.(string)
-	}
-	fp := costs.Name
-	for _, op := range core.Ops() {
-		if !costs.Defines(op) {
-			continue
-		}
-		c := costs.Cost(op)
-		fp += fmt.Sprintf("|%d:%x:%x", int(op), c.CPU, c.Interconnect)
-	}
-	if ev.tables.count.Load() >= tableMemoCap {
-		if ev.tables.m.CompareAndSwap(m, &sync.Map{}) {
-			ev.tables.count.Store(0)
-		}
-		m = ev.tables.m.Load()
-	}
-	if _, loaded := m.LoadOrStore(costs, fp); !loaded {
-		ev.tables.count.Add(1)
-	}
-	return fp
-}
-
 // Demand is a memoized core.ComputeDemand. The workload is validated
 // first (mirroring ComputeDemand's own order) so an invalid Params always
 // errors even when a canonically equal valid workload is already cached.
@@ -438,7 +376,7 @@ func (ev *Evaluator) DemandCtx(ctx context.Context, s core.Scheme, p core.Params
 	if err := p.Validate(); err != nil {
 		return core.Demand{}, fmt.Errorf("%s: %w", s.Name(), err)
 	}
-	key := demandKey{schemeKey(s), core.CanonicalParams(s, p), ev.fingerprint(costs)}
+	key := demandKey{core.SchemeLabel(s), core.CanonicalParams(s, p), costs.Fingerprint()}
 	sh := &ev.demands[key.shard()]
 
 	var sp obs.Span

@@ -235,7 +235,7 @@ func BatchGroups(n int, at func(i int) (core.Scheme, core.Params, int)) [][]int 
 	for i := 0; i < n; i++ {
 		s, p, nproc := at(i)
 		nprocs[i] = nproc
-		k := groupKey{schemeKey(s), core.CanonicalParams(s, p)}
+		k := groupKey{core.SchemeLabel(s), core.CanonicalParams(s, p)}
 		gi, ok := groups[k]
 		if !ok {
 			gi = len(out)
