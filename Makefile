@@ -32,19 +32,23 @@ bench-short:
 	$(GO) test -run=NONE -bench='BenchmarkSweep|BenchmarkEvaluator' -benchmem ./internal/sweep
 	$(GO) test -run=NONE -bench='BenchmarkSimHotLoop|BenchmarkTraceRestrict' -benchmem ./internal/sim
 
-# This PR's serving-latency record: cohereload drives the hit-heavy and
-# miss-heavy mixes against an in-process daemon, then the async-job
-# drill and the gateway drill append their scenarios to the same record
-# (later invocations merge into an existing -out file rather than
-# clobbering it). Earlier records (BENCH_PR3..8.json) are append-only
-# history — bench-json never rewrites them, so `bench-diff` always
-# compares against the numbers the previous PR actually merged with.
+# One change's serving-latency record, BENCH_PR$(PR).json: cohereload
+# drives the hit-heavy and miss-heavy mixes against an in-process
+# daemon, then the async-job drill and the gateway drill append their
+# scenarios to the same record (later invocations merge into an
+# existing -out file rather than clobbering it). PR=<n> names the record
+# and has no default: earlier records are append-only history, and a
+# default pointing at one would rewrite the baseline `bench-diff`
+# compares against.
+#
+#   make bench-json PR=<n>
 bench-json:
+	@if [ -z "$(PR)" ]; then echo "bench-json: set PR=<n> to name the record (writes BENCH_PR<n>.json)" >&2; exit 1; fi
 	$(GO) run ./cmd/cohereload -c 8 -d 3s -hit-ratios 0.95,0.05 \
-		-out BENCH_PR10.json > /dev/null
-	$(GO) run ./cmd/cohereload -jobs -out BENCH_PR10.json > /dev/null
-	$(GO) run ./cmd/cohereload -gw -c 8 -d 2s -out BENCH_PR10.json > /dev/null
-	@echo "bench-json: wrote BENCH_PR10.json (latency mixes + jobs + gateway drills)"
+		-out BENCH_PR$(PR).json > /dev/null
+	$(GO) run ./cmd/cohereload -jobs -out BENCH_PR$(PR).json > /dev/null
+	$(GO) run ./cmd/cohereload -gw -c 8 -d 2s -out BENCH_PR$(PR).json > /dev/null
+	@echo "bench-json: wrote BENCH_PR$(PR).json (latency mixes + jobs + gateway drills)"
 
 # Cross-PR regression gate: compare the newest benchmark record against
 # the newest earlier record sharing a scenario, and fail if p99 latency

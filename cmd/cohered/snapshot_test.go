@@ -49,6 +49,32 @@ func bootDaemon(t *testing.T, extra ...string) (string, func()) {
 	}
 }
 
+// waitReady polls /readyz until it answers 200. bootDaemon returns as
+// soon as the listener is open, which is before a snapshot restore
+// finishes and the daemon reports ready.
+func waitReady(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var last string
+		resp, err := http.Get(base + "/readyz")
+		if err != nil {
+			last = err.Error()
+		} else {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return
+			}
+			last = resp.Status + " " + string(body)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon not ready within 10s; last /readyz: %s", last)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // cacheStats reads the evaluator counters from /healthz.
 func cacheStats(t *testing.T, base string) map[string]float64 {
 	t.Helper()
@@ -100,6 +126,7 @@ func TestWarmStartSnapshot(t *testing.T) {
 	// and replaying the working set does zero solves.
 	base, shutdown = bootDaemon(t, "-snapshot-path", snap)
 	defer shutdown()
+	waitReady(t, base)
 
 	st := cacheStats(t, base)
 	if st["DemandEntries"] == 0 || st["CurveEntries"] == 0 {

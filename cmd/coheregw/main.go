@@ -10,7 +10,7 @@
 //	         [-policy affinity|roundrobin] [-check-interval 1s]
 //	         [-check-timeout 2s] [-fail-threshold 2] [-timeout 15s]
 //	         [-max-body BYTES] [-grace 5s] [-quiet]
-//	         [-hedge] [-hedge-delay 0] [-response-cache N]
+//	         [-hedge] [-hedge-delay 0]
 //	coheregw -backends-file backends.conf ...
 //
 // Endpoints:
@@ -95,7 +95,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(addr
 	maxBody := fs.Int64("max-body", 1<<20, "request body cap in bytes")
 	hedge := fs.Bool("hedge", false, "race a duplicate of a slow idempotent request against the next-ranked backend")
 	hedgeDelay := fs.Duration("hedge-delay", 0, "fixed hedge delay; 0 derives it from the observed latency p90")
-	respCache := fs.Int("response-cache", 0, "gateway response cache capacity in entries; 0 disables")
 	grace := fs.Duration("grace", 5*time.Second, "shutdown grace period for in-flight requests")
 	quiet := fs.Bool("quiet", false, "suppress info-level logs")
 	if err := fs.Parse(args); err != nil {
@@ -125,17 +124,16 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(addr
 	logger := slog.New(slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: level}))
 
 	g, err := gw.New(gw.Config{
-		Backends:         specs,
-		Policy:           *policy,
-		CheckInterval:    *checkInterval,
-		CheckTimeout:     *checkTimeout,
-		FailThreshold:    *failThreshold,
-		RequestTimeout:   *timeout,
-		MaxBodyBytes:     *maxBody,
-		Hedge:            *hedge,
-		HedgeDelay:       *hedgeDelay,
-		ResponseCacheCap: *respCache,
-		Logger:           logger,
+		Backends:       specs,
+		Policy:         *policy,
+		CheckInterval:  *checkInterval,
+		CheckTimeout:   *checkTimeout,
+		FailThreshold:  *failThreshold,
+		RequestTimeout: *timeout,
+		MaxBodyBytes:   *maxBody,
+		Hedge:          *hedge,
+		HedgeDelay:     *hedgeDelay,
+		Logger:         logger,
 	})
 	if err != nil {
 		return err

@@ -18,8 +18,8 @@
 // Front-tier hardening on top of routing: hedged requests (an
 // idempotent request that outlives the observed-latency hedge delay is
 // raced against the next-ranked backend, first response wins), weighted
-// rendezvous for heterogeneous fleets, live backend-set reload without
-// a restart, and a bounded response cache for idempotent hot keys.
+// rendezvous for heterogeneous fleets, and live backend-set reload
+// without a restart.
 package gw
 
 import (
@@ -93,12 +93,6 @@ type Config struct {
 	// HedgeMinDelay floors the derived hedge delay so a microsecond-warm
 	// cache cannot make the gateway hedge every request. Default 1ms.
 	HedgeMinDelay time.Duration
-	// ResponseCacheCap bounds the gateway's response cache for
-	// idempotent hot keys (entries, LRU-evicted). Entries are keyed by
-	// the canonical cache key plus the answering backend's model
-	// fingerprint and dropped wholesale on a backend-set reload.
-	// Default 0: no response cache.
-	ResponseCacheCap int
 	// Transport overrides the backend HTTP transport (tests). Default:
 	// one shared keep-alive pool sized for the backend fleet.
 	Transport http.RoundTripper
@@ -158,9 +152,8 @@ type backend struct {
 	healthy   atomic.Bool
 	fails     atomic.Int32 // consecutive probe failures
 	warmth    atomic.Pointer[serve.ReadyzCache]
-	advWeight atomic.Uint64          // float64 bits of the /readyz-advertised weight
-	modelFP   atomic.Pointer[string] // model fingerprint from the last /readyz probe
-	stop      context.CancelFunc     // cancels this backend's probe loop (guarded by Gateway.mu)
+	advWeight atomic.Uint64      // float64 bits of the /readyz-advertised weight
+	stop      context.CancelFunc // cancels this backend's probe loop (guarded by Gateway.mu)
 
 	routes    atomic.Int64    // requests answered from here
 	sends     atomic.Int64    // proxied attempts issued here, hedges and retries included
@@ -236,7 +229,6 @@ type Gateway struct {
 	wg       sync.WaitGroup
 
 	latency *obs.Histogram // proxied request latency, hedge-delay source
-	cache   *respCache     // response cache; nil when disabled
 
 	rr           atomic.Uint64 // round-robin cursor
 	retries      atomic.Int64  // attempts beyond the first, after a transport failure
@@ -265,9 +257,6 @@ func New(cfg Config) (*Gateway, error) {
 		log:     cfg.Logger,
 		start:   time.Now(),
 		latency: obs.NewHistogram(latencyBounds),
-	}
-	if cfg.ResponseCacheCap > 0 {
-		g.cache = newRespCache(cfg.ResponseCacheCap)
 	}
 	set, err := parseBackends(cfg.Backends)
 	if err != nil {
@@ -461,9 +450,6 @@ func (g *Gateway) Handler() http.Handler {
 // smoke drill leans on.
 const backendHeader = "X-Coheregw-Backend"
 
-// cacheHeader marks a response served from the gateway's response cache.
-const cacheHeader = "X-Coheregw-Cache"
-
 // traceHeader carries the request ID end to end: the gateway adopts a
 // valid inbound one (or mints its own), forwards it to the backend, and
 // echoes the backend's copy to the client — the same accept-or-generate
@@ -481,10 +467,6 @@ type proxyOpts struct {
 	// from RequestTimeout, relayed under a rolling per-write deadline,
 	// and flushed per chunk so batches arrive as the backend emits them.
 	streaming bool
-	// cacheKey/cacheable: the response may be served from / stored into
-	// the gateway response cache under this canonical key.
-	cacheKey  uint64
-	cacheable bool
 }
 
 // handleAPI proxies one single-point API request: read the body,
@@ -495,11 +477,7 @@ func (g *Gateway) handleAPI(w http.ResponseWriter, r *http.Request) {
 		g.writeErr(w, http.StatusBadRequest, fmt.Sprintf("gw: reading body: %v", err))
 		return
 	}
-	opts := proxyOpts{retriable: true}
-	if g.cache != nil {
-		opts.cacheKey, opts.cacheable = responseKey(r.URL.Path, body)
-	}
-	g.forward(w, r, body, g.requestKey(r.URL.Path, body), opts)
+	g.forward(w, r, body, g.requestKey(r.URL.Path, body), proxyOpts{retriable: true})
 }
 
 // handleJobs proxies the async-job API. Job IDs live in one backend's
@@ -540,9 +518,6 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, body []byte, k
 	trace := r.Header.Get(traceHeader)
 	if !obs.ValidTraceID(trace) {
 		trace = obs.NewTraceID()
-	}
-	if opts.cacheable && g.serveFromCache(w, r, opts.cacheKey, key, trace, start) {
-		return
 	}
 	ctx := r.Context()
 	if !opts.streaming {
@@ -819,8 +794,7 @@ const streamWriteWindow = 30 * time.Second
 // request ID. Streams are copied chunk by chunk with a flush and a
 // refreshed write deadline per chunk, so each NDJSON batch reaches the
 // client as the backend emits it instead of pooling in the gateway's
-// buffer; everything else is a single bounded copy. Cacheable 200s are
-// stored in the response cache on the way through.
+// buffer; everything else is a single bounded copy.
 func (g *Gateway) copyResponse(w http.ResponseWriter, resp *http.Response, b *backend, trace string, opts proxyOpts) {
 	defer resp.Body.Close()
 	for _, h := range []string{"Content-Type", "Retry-After"} {
@@ -855,52 +829,10 @@ func (g *Gateway) copyResponse(w http.ResponseWriter, resp *http.Response, b *ba
 			}
 		}
 	}
-	if opts.cacheable && g.cache != nil && resp.StatusCode == http.StatusOK {
-		if fp := b.modelFP.Load(); fp != nil && *fp != "" {
-			data, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes*64))
-			if err != nil {
-				g.log.Debug("reading cacheable response", "backend", b.url, "err", err)
-				w.WriteHeader(http.StatusBadGateway)
-				return
-			}
-			g.cache.store(opts.cacheKey, *fp, resp.Header.Get("Content-Type"), b.url, data)
-			w.WriteHeader(resp.StatusCode)
-			w.Write(data) //nolint:errcheck
-			return
-		}
-	}
 	w.WriteHeader(resp.StatusCode)
 	if _, err := io.Copy(w, resp.Body); err != nil {
 		g.log.Debug("copying backend response", "backend", b.url, "err", err)
 	}
-}
-
-// serveFromCache answers a cacheable request from the response cache,
-// reporting whether it did. The lookup is keyed by the canonical cache
-// key plus the model fingerprint of the backend the routing key would
-// send the request to — a cached response from a different model build
-// can never hit.
-func (g *Gateway) serveFromCache(w http.ResponseWriter, r *http.Request, key, routeKey uint64, trace string, start time.Time) bool {
-	ranked := g.rank(routeKey)
-	if len(ranked) == 0 {
-		return false
-	}
-	fp := ranked[0].modelFP.Load()
-	if fp == nil || *fp == "" {
-		return false
-	}
-	e, ok := g.cache.lookup(key, *fp)
-	if !ok {
-		return false
-	}
-	w.Header().Set("Content-Type", e.contentType)
-	w.Header().Set(traceHeader, trace)
-	w.Header().Set(backendHeader, e.backend)
-	w.Header().Set(cacheHeader, "hit")
-	w.WriteHeader(http.StatusOK)
-	w.Write(e.body) //nolint:errcheck
-	g.logRequest(r, http.StatusOK, e.backend+" (cache)", trace, start)
-	return true
 }
 
 // markDown excludes a backend after a transport-level failure without

@@ -154,40 +154,6 @@ func keyParams(level string, params json.RawMessage) (core.Params, error) {
 	return core.ReadParams(bytes.NewReader(params))
 }
 
-// responseKey derives the response-cache key for one request, and
-// whether the request is cacheable at all. Only the pure single-point
-// endpoints qualify, and only when the body parses canonically — a
-// raw-keyed body could alias nothing, but a canonical key proves two
-// requests are the same question. Unlike the routing key, the response
-// key must separate everything that changes the response BYTES, so it
-// folds in the path, the processor count (bus routing keys deliberately
-// share one key across populations of a curve), and the point/full
-// response shape.
-func responseKey(path string, body []byte) (uint64, bool) {
-	switch path {
-	case "/v1/bus", "/v1/network":
-	default:
-		return 0, false
-	}
-	key, ok := pointKey(body)
-	if !ok {
-		return 0, false
-	}
-	var shape struct {
-		Procs int  `json:"procs"`
-		Point bool `json:"point"`
-	}
-	if err := json.Unmarshal(body, &shape); err != nil {
-		return 0, false
-	}
-	h := hashString(key, path)
-	h = hashFloat(h, float64(shape.Procs))
-	if shape.Point {
-		h = hashString(h, "point")
-	}
-	return h, true
-}
-
 // rawKey is the fallback routing key: FNV-1a over the body bytes.
 func rawKey(body []byte) uint64 {
 	h := uint64(fnvOffset)

@@ -96,27 +96,6 @@ func (g *Gateway) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE swcc_gw_reloads_total counter")
 	fmt.Fprintf(w, "swcc_gw_reloads_total %d\n", g.reloads.Load())
 
-	var entries int
-	var hits, misses, invalidations int64
-	if g.cache != nil {
-		entries, hits, misses, invalidations = g.cache.stats()
-	}
-	fmt.Fprintln(w, "# HELP swcc_gw_response_cache_entries Responses currently held in the gateway response cache.")
-	fmt.Fprintln(w, "# TYPE swcc_gw_response_cache_entries gauge")
-	fmt.Fprintf(w, "swcc_gw_response_cache_entries %d\n", entries)
-
-	fmt.Fprintln(w, "# HELP swcc_gw_response_cache_hits_total Cacheable requests answered from the gateway response cache.")
-	fmt.Fprintln(w, "# TYPE swcc_gw_response_cache_hits_total counter")
-	fmt.Fprintf(w, "swcc_gw_response_cache_hits_total %d\n", hits)
-
-	fmt.Fprintln(w, "# HELP swcc_gw_response_cache_misses_total Cacheable requests the response cache could not answer.")
-	fmt.Fprintln(w, "# TYPE swcc_gw_response_cache_misses_total counter")
-	fmt.Fprintf(w, "swcc_gw_response_cache_misses_total %d\n", misses)
-
-	fmt.Fprintln(w, "# HELP swcc_gw_response_cache_invalidations_total Wholesale response-cache drops after a backend-set change.")
-	fmt.Fprintln(w, "# TYPE swcc_gw_response_cache_invalidations_total counter")
-	fmt.Fprintf(w, "swcc_gw_response_cache_invalidations_total %d\n", invalidations)
-
 	fmt.Fprintln(w, "# HELP swcc_gw_backend_cache_entries Memo-cache entries per backend, from its last /readyz probe.")
 	fmt.Fprintln(w, "# TYPE swcc_gw_backend_cache_entries gauge")
 	for _, b := range backends {

@@ -3,6 +3,7 @@
 package serve
 
 import (
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -16,24 +17,35 @@ import (
 // (instrument middleware, access log, decode, validate, admission, memo
 // hit, encode) into an httptest recorder. The request and recorder are
 // built inside the measured function, as a client's would be, so the
-// counts include them. Budgets sit at the counts measured with solves
-// inline and one bus cost table per server.
+// counts include them. The /v1/bus budgets sit at the counts measured
+// with solves inline and one bus cost table per server; the /v1/sweep
+// budget at the 207 measured with pooled per-point buffers, which
+// reading cells off one group curve must not exceed.
 //
 // Runs without the race detector: its instrumentation perturbs
 // testing.AllocsPerRun.
 func TestHandlerWarmPathAllocs(t *testing.T) {
 	h := NewServer(Config{Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))}).Handler()
+	// The sweep case is perfbench hot_bus's batch shape: eight
+	// single-point Software-Flush cells at 16 processors, each its own
+	// (scheme, workload) group.
+	var cells []string
+	for i := 0; i < 8; i++ {
+		cells = append(cells, fmt.Sprintf(`{"scheme": "swflush", "params": {"shd": %g}, "procs": 16, "point": true}`, 0.1+0.1*float64(i)))
+	}
 	for _, tc := range []struct {
 		name   string
+		path   string
 		body   string
 		budget float64
 	}{
-		{"point", `{"scheme": "swflush", "params": {"shd": 0.3}, "procs": 16, "point": true}`, 73},
-		{"curve", `{"scheme": "swflush", "params": {"shd": 0.3}, "procs": 16}`, 74},
+		{"point", "/v1/bus", `{"scheme": "swflush", "params": {"shd": 0.3}, "procs": 16, "point": true}`, 73},
+		{"curve", "/v1/bus", `{"scheme": "swflush", "params": {"shd": 0.3}, "procs": 16}`, 74},
+		{"sweep", "/v1/sweep", `{"points": [` + strings.Join(cells, ", ") + `]}`, 207},
 	} {
 		serve := func() {
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/bus", strings.NewReader(tc.body)))
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
 			if rec.Code != http.StatusOK {
 				t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body)
 			}

@@ -24,18 +24,6 @@ type sweepRequest struct {
 type sweepResponse struct {
 	Count   int           `json:"count"`
 	Results []busResponse `json:"results"`
-	// release returns the response's pooled buffers (Results and every
-	// Points slice inside it). writeJSON calls it through the
-	// bufferReleaser hook once the response bytes are encoded; error
-	// paths call it directly. Nil when nothing is pooled.
-	release func() `json:"-"`
-}
-
-// ReleaseBuffers implements bufferReleaser.
-func (r sweepResponse) ReleaseBuffers() {
-	if r.release != nil {
-		r.release()
-	}
 }
 
 // sweepJob is one validated point, ready to solve.
@@ -45,10 +33,6 @@ type sweepJob struct {
 	procs  int
 	point  bool
 }
-
-// responsePool recycles per-batch result slices across /v1/sweep
-// requests; the per-point Points buffers come from sweep.AcquirePoints.
-var responsePool sweep.SlicePool[busResponse]
 
 // pointErr prefixes a per-point validation error with its index so the
 // client knows which grid cell to fix, preserving the status code.
@@ -96,97 +80,85 @@ func (s *Server) handleSweep(ctx context.Context, body []byte) (any, error) {
 		jobs[i] = sweepJob{scheme: scheme, params: p, procs: procs, point: pr.Point}
 	}
 	return s.solve(ctx, func() (any, error) {
-		// Points sharing one (scheme, canonical workload) form a group a
-		// single worker solves population-ascending through a CurveRun —
-		// each point resumes the MVA recursion where the previous one
-		// stopped. Result and per-point Points buffers come from pools;
-		// the response's release hook returns them after encoding.
+		// Points sharing one (scheme, canonical workload) form a group
+		// that one curve solved at the group's largest population
+		// answers. Groups are population-ascending, so that population
+		// is the group's last cell.
 		groups := sweep.BatchGroups(len(jobs), func(i int) (core.Scheme, core.Params, int) {
 			return jobs[i].scheme, jobs[i].params, jobs[i].procs
 		})
-		resultsBuf := responsePool.Acquire(len(jobs))
-		results := *resultsBuf
-		pointBufs := make([]*[]core.BusPoint, len(jobs))
-		release := func() {
-			for _, pb := range pointBufs {
-				if pb != nil {
-					sweep.ReleasePoints(pb)
-				}
-			}
-			responsePool.Release(resultsBuf)
-		}
+		results := make([]busResponse, len(jobs))
 		errs := make([]error, len(jobs))
 		sweep.EachCtx(ctx, 0, len(groups), func(g int) error {
-			var run *sweep.CurveRun
-			for _, i := range groups[g] {
-				s.solveSweepPoint(ctx, jobs[i], &run, &results[i], &pointBufs[i], &errs[i])
-			}
-			if run != nil {
-				run.Finish(ctx)
+			group := groups[g]
+			curve := groupCurve{maxProcs: jobs[group[len(group)-1]].procs}
+			for _, i := range group {
+				errs[i] = s.solveSweepPoint(ctx, jobs[i], &curve, &results[i])
 			}
 			return nil
 		})
 		if err := sweepError(ctx, errs); err != nil {
-			release()
 			return nil, err
 		}
-		return sweepResponse{Count: len(results), Results: results, release: release}, nil
+		return sweepResponse{Count: len(results), Results: results}, nil
 	})
 }
 
-// solveSweepPoint answers one grid cell of a batch into *out, reusing
-// (or starting) the group's CurveRun. Each point remains its own
-// fault-injection site and cancellation point, and the pool's worker
-// goroutines have no recover of their own — an injected (or model)
-// panic here must become this point's error, not kill the process.
-func (s *Server) solveSweepPoint(ctx context.Context, j sweepJob, run **sweep.CurveRun, out *busResponse, pointBuf **[]core.BusPoint, errOut *error) {
+// solveSweepPoint answers one grid cell of a batch into *out, reading
+// it off the group's curve. Each point remains its own fault-injection
+// site and cancellation point, and the pool's worker goroutines have no
+// recover of their own — an injected (or model) panic here must become
+// this point's error, not kill the process.
+func (s *Server) solveSweepPoint(ctx context.Context, j sweepJob, curve *groupCurve, out *busResponse) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			*errOut = fmt.Errorf("serve: internal error: %v", p)
+			err = fmt.Errorf("serve: internal error: %v", p)
 		}
 	}()
 	if err := ctx.Err(); err != nil {
-		*errOut = err
-		return
+		return err
 	}
-	if err := s.cfg.Fault.Point(ctx); err != nil {
-		*errOut = err
-		return
-	}
-	if *run == nil {
-		r, err := s.ev.StartCurveRun(ctx, j.scheme, j.params, s.bus)
-		if err != nil {
-			*errOut = err
-			return
-		}
-		*run = r
+	c, err := s.cellCurve(ctx, curve, j.scheme, j.params)
+	if err != nil {
+		return err
 	}
 	resp := busResponse{Scheme: core.SchemeLabel(j.scheme), Costs: s.bus.Name, Procs: j.procs}
 	if j.point {
-		pt, err := (*run).BusPointAt(ctx, j.procs)
-		if err != nil {
-			*errOut = err
-			return
-		}
-		buf := sweep.AcquirePoints(1)
-		*pointBuf = buf
-		(*buf)[0] = pt
-		resp.Points = *buf
+		resp.Points = []core.BusPoint{c.At(j.procs)}
 	} else {
-		// Park the buffer in *pointBuf BEFORE the call that can panic: the
-		// recover above only records the error, so a buffer not yet visible
-		// through pointBufs would never reach the batch's release hook and
-		// each fault-injected panic would drain the pool by one buffer.
-		buf := sweep.AcquirePoints(j.procs)
-		*pointBuf = buf
-		pts, err := (*run).BusPointsInto(ctx, j.procs, *buf)
-		if err != nil {
-			*errOut = err
-			return
+		resp.Points = make([]core.BusPoint, j.procs)
+		for k := range resp.Points {
+			resp.Points[k] = c.At(k + 1)
 		}
-		resp.Points = pts
 	}
 	*out = resp
+	return nil
+}
+
+// groupCurve is one batch group's curve, solved at the group's largest
+// population by the first cell that gets past its own fault-injection
+// site. A failed solve leaves it unsolved, so the next cell retries and
+// every cell reports its own error.
+type groupCurve struct {
+	maxProcs int
+	curve    sweep.BusCurve
+	solved   bool
+}
+
+// cellCurve is the step every batch and job-grid cell shares: its
+// fault-injection site, then the group's curve.
+func (s *Server) cellCurve(ctx context.Context, g *groupCurve, sch core.Scheme, p core.Params) (sweep.BusCurve, error) {
+	if err := s.cfg.Fault.Point(ctx); err != nil {
+		return sweep.BusCurve{}, err
+	}
+	if !g.solved {
+		c, err := s.ev.BusCurveCtx(ctx, sch, p, s.bus, g.maxProcs)
+		if err != nil {
+			return sweep.BusCurve{}, err
+		}
+		g.curve, g.solved = c, true
+	}
+	return g.curve, nil
 }
 
 // sweepError maps a finished batch's per-point errors to the one error

@@ -283,3 +283,23 @@ func BenchmarkServeBatch(b *testing.B) {
 		run(b, ts, points, "/v1/bus")
 	})
 }
+
+// TestSweepGroupSolvesOnce pins a /v1/sweep group's cost as counts: 64
+// cells of one (scheme, workload), posted population-descending, are
+// one demand solve and one MVA solve at the group's largest population.
+func TestSweepGroupSolvesOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	var points []string
+	for n := 64; n >= 1; n-- {
+		points = append(points, fmt.Sprintf(`{"scheme": "dragon", "procs": %d, "point": true}`, n))
+	}
+	code, body := post(t, ts, "/v1/sweep", `{"points": [`+strings.Join(points, ",")+`]}`)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	st := s.Evaluator().Stats()
+	if st.DemandSolves != 1 || st.MVASolves != 1 || st.CurveFullSolves != 1 {
+		t.Errorf("demand solves %d, MVA solves %d (full %d); want 1, 1 (1)",
+			st.DemandSolves, st.MVASolves, st.CurveFullSolves)
+	}
+}

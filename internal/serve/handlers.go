@@ -140,15 +140,6 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.writeJSON(w, code, errorResponse{Error: err.Error()})
 }
 
-// bufferReleaser is implemented by responses whose fields reference
-// pooled buffers. writeJSON invokes it immediately after encoding — the
-// earliest moment the buffers are provably no longer referenced — so
-// callers that build pooled responses need no extra bookkeeping on the
-// success path.
-type bufferReleaser interface {
-	ReleaseBuffers()
-}
-
 // encodeBufPool recycles the response encode buffers across requests.
 // Buffers that grew beyond encodeBufMax bytes (a giant sweep response)
 // are dropped rather than pinned in the pool forever.
@@ -162,9 +153,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	// Encoder.Encode writes the same bytes json.Marshal produces plus
 	// the trailing newline every response here always carried.
 	err := json.NewEncoder(buf).Encode(v)
-	if rel, ok := v.(bufferReleaser); ok {
-		rel.ReleaseBuffers()
-	}
 	if err != nil {
 		// Responses are plain data structs; failing to marshal one is a
 		// programming error, not a client error.
@@ -602,8 +590,8 @@ type ReadyzResponse struct {
 	// one.
 	Weight float64 `json:"weight,omitempty"`
 	// ModelFingerprint identifies the analytic model build this backend
-	// runs (sweep.ModelFingerprint). A gateway response cache keys on it
-	// so bytes computed by one build are never served for another.
+	// runs (sweep.ModelFingerprint), the same string its snapshots carry,
+	// so an operator can tell which backends run the same model.
 	ModelFingerprint string `json:"model_fingerprint,omitempty"`
 }
 

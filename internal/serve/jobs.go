@@ -274,19 +274,13 @@ func (s *Server) gridJob(req jobSubmitRequest, schemes []core.Scheme, base core.
 }
 
 // runGridCurve solves one (scheme, workload) slice of a grid job over
-// machine sizes p1..p2, in spool-batch chunks. Machine sizes ascend, so
-// each point extends the same CurveRun incrementally; the chunk's
-// points stage in a pooled buffer that is released once the rows are
-// encoded. The solver semaphore is held only while solving — never
-// across Push, which may block on a slow reader.
+// machine sizes p1..p2, in spool-batch chunks. Each chunk reads its
+// rows off one curve solved at the chunk's largest machine size, which
+// extends the previous chunk's cached curve. The solver semaphore is
+// held only while solving — never across Push, which may block on a
+// slow reader.
 func (s *Server) runGridCurve(ctx context.Context, j *jobs.Job, sch core.Scheme, p core.Params, x *float64, p1, p2 int) error {
 	label := core.SchemeLabel(sch)
-	var run *sweep.CurveRun
-	defer func() {
-		if run != nil {
-			run.Finish(ctx)
-		}
-	}()
 	for lo := p1; lo <= p2; lo += jobBatchRows {
 		hi := lo + jobBatchRows - 1
 		if hi > p2 {
@@ -297,7 +291,7 @@ func (s *Server) runGridCurve(ctx context.Context, j *jobs.Job, sch core.Scheme,
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		rows, ok, errs, err := s.solveGridChunk(ctx, &run, sch, p, x, label, lo, hi)
+		rows, ok, errs, err := s.solveGridChunk(ctx, sch, p, x, label, lo, hi)
 		<-s.jobSem
 		if err != nil {
 			return err
@@ -314,16 +308,16 @@ func (s *Server) runGridCurve(ctx context.Context, j *jobs.Job, sch core.Scheme,
 // cell is independently fault-injected and panic-recovered: a failing
 // cell becomes an error row and the chunk carries on, exactly like a
 // /v1/sweep cell. Only a done context aborts the job.
-func (s *Server) solveGridChunk(ctx context.Context, run **sweep.CurveRun, sch core.Scheme, p core.Params, x *float64, label string, lo, hi int) (rows [][]byte, ok, errs uint64, err error) {
-	buf := sweep.AcquirePoints(hi - lo + 1)
-	defer sweep.ReleasePoints(buf)
+func (s *Server) solveGridChunk(ctx context.Context, sch core.Scheme, p core.Params, x *float64, label string, lo, hi int) (rows [][]byte, ok, errs uint64, err error) {
+	curve := groupCurve{maxProcs: hi}
+	pts := make([]core.BusPoint, hi-lo+1)
 	rows = make([][]byte, 0, hi-lo+1)
 	for n := lo; n <= hi; n++ {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, 0, err
 		}
 		row := jobRowJSON{Scheme: label, X: x, Procs: n}
-		pt, perr := s.solveJobPoint(ctx, run, sch, p, n)
+		pt, perr := s.solveJobPoint(ctx, &curve, sch, p, n)
 		if perr != nil {
 			if ctx.Err() != nil {
 				return nil, 0, 0, ctx.Err()
@@ -331,8 +325,8 @@ func (s *Server) solveGridChunk(ctx context.Context, run **sweep.CurveRun, sch c
 			row.Error = perr.Error()
 			errs++
 		} else {
-			(*buf)[n-lo] = pt
-			row.Point = &(*buf)[n-lo]
+			pts[n-lo] = pt
+			row.Point = &pts[n-lo]
 			ok++
 		}
 		line, merr := json.Marshal(row)
@@ -344,26 +338,20 @@ func (s *Server) solveGridChunk(ctx context.Context, run **sweep.CurveRun, sch c
 	return rows, ok, errs, nil
 }
 
-// solveJobPoint is one grid cell: fault injection, then one incremental
-// curve point, with a panic (injected or model) recovered into the
-// cell's error.
-func (s *Server) solveJobPoint(ctx context.Context, run **sweep.CurveRun, sch core.Scheme, p core.Params, n int) (pt core.BusPoint, err error) {
+// solveJobPoint is one grid cell: fault injection, then one point read
+// off the chunk's curve, with a panic (injected or model) recovered into
+// the cell's error.
+func (s *Server) solveJobPoint(ctx context.Context, curve *groupCurve, sch core.Scheme, p core.Params, n int) (pt core.BusPoint, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: internal error: %v", r)
 		}
 	}()
-	if err := s.cfg.Fault.Point(ctx); err != nil {
+	c, err := s.cellCurve(ctx, curve, sch, p)
+	if err != nil {
 		return core.BusPoint{}, err
 	}
-	if *run == nil {
-		r, err := s.ev.StartCurveRun(ctx, sch, p, s.bus)
-		if err != nil {
-			return core.BusPoint{}, err
-		}
-		*run = r
-	}
-	return (*run).BusPointAt(ctx, n)
+	return c.At(n), nil
 }
 
 // refineJob validates a refine spec and builds its runner: an adaptive

@@ -436,33 +436,15 @@ func TestJobList(t *testing.T) {
 	}
 }
 
-// waitPoolBalance retries until the shared point pool's acquires equal
-// its releases. A job's runner goroutine releases its last chunk's
-// buffers after encoding the rows, which can trail the stream's final
-// byte by a moment.
-func waitPoolBalance(t *testing.T) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		acq, rel := sweep.PointPoolAccounting()
-		if acq == rel {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("point pool unbalanced: %d acquires, %d releases", acq, rel)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestSweepPoolAccountingUnderFaults hammers /v1/sweep with error and
-// panic injection on every point and then proves the pooled point
-// buffers all came back: acquires == releases, whatever mix of 200, 500,
+// panic injection on every point and then proves the solver slots all
+// came back: no solve holds a limiter slot, whatever mix of 200, 500,
 // and 503 responses the injector produced. Solves run in the handler
-// goroutine and release before the response is written, so balance must
-// hold as soon as the last response has arrived — no retry.
+// goroutine and release their slot before the response is written, so
+// the balance must hold as soon as the last response has arrived — no
+// retry.
 func TestSweepPoolAccountingUnderFaults(t *testing.T) {
-	_, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{
 		Fault: fault.New(fault.Config{Seed: 42, ErrorP: 0.05, PanicP: 0.05}),
 	})
 	var pts []string
@@ -481,16 +463,15 @@ func TestSweepPoolAccountingUnderFaults(t *testing.T) {
 	if codes[500]+codes[503] == 0 {
 		t.Errorf("no sweep failed under 25%%+25%% injection: %v", codes)
 	}
-	if acq, rel := sweep.PointPoolAccounting(); acq != rel {
-		t.Fatalf("point pool unbalanced after the last response: %d acquires, %d releases", acq, rel)
+	if n := s.met.solveInFlight.Load(); n != 0 {
+		t.Fatalf("solveInFlight = %d after the last response, want 0", n)
 	}
 }
 
 // TestLargeJobBoundedMemoryAndAccounting is the scale acceptance test: a
 // 100k-point grid job under error and panic injection streams to
-// completion with every point accounted for (ok + error == grid size),
-// the spool's high-water mark bounded by its configured cap, and the
-// point pool's acquires equal to its releases afterwards.
+// completion with every point accounted for (ok + error == grid size)
+// and the spool's high-water mark bounded by its configured cap.
 func TestLargeJobBoundedMemoryAndAccounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-point job in -short mode")
@@ -528,5 +509,22 @@ func TestLargeJobBoundedMemoryAndAccounting(t *testing.T) {
 	if st.SpooledRows != 0 {
 		t.Errorf("spooled_rows = %d after full drain", st.SpooledRows)
 	}
-	waitPoolBalance(t)
+}
+
+// TestJobCurveSolvesPerChunk pins a grid job's cost as counts: a
+// 1..1000 machine-size curve streams in two 512-row chunks, each one
+// solve at its largest size — a full solve to 512, then one extension
+// of that cached curve to 1000.
+func TestJobCurveSolvesPerChunk(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	sub := submitJob(t, ts, `{"schemes":["dragon"],"procs_from":1,"procs_to":1000}`)
+	stream := streamResults(t, ts, sub.ID, 0)
+	if len(stream.rows) != 1000 || stream.trailer == nil || stream.trailer.PointsOK != 1000 {
+		t.Fatalf("streamed %d rows, trailer %+v; want 1000 ok rows", len(stream.rows), stream.trailer)
+	}
+	st := s.Evaluator().Stats()
+	if st.CurveFullSolves != 1 || st.CurveExtends != 1 || st.MVASolves != 2 {
+		t.Errorf("full solves %d, extends %d, MVA solves %d; want 1, 1, 2",
+			st.CurveFullSolves, st.CurveExtends, st.MVASolves)
+	}
 }

@@ -105,63 +105,42 @@ func TestEngineBatchGroupingErrors(t *testing.T) {
 	}
 }
 
-// TestCurveRunPublishes: after a run finishes, its longest curve is in
-// the shared cache, so a later cold query is a pure hit.
-func TestCurveRunPublishes(t *testing.T) {
+// TestGroupSolvesOnceAtLargestPopulation pins the grouped path's cost
+// as counts: a 512-point population-ascending group is one MVA solve at
+// its largest population, published as one curve, after which a query
+// at that population is a pure hit. Growing the curve one population
+// at a time would cost 512 solves.
+func TestGroupSolvesOnceAtLargestPopulation(t *testing.T) {
 	ev := NewEvaluator()
 	p := core.MiddleParams()
 	costs := core.BusCosts()
-	points := []Point{
-		{Scheme: core.Base{}, Params: p, NProc: 4},
-		{Scheme: core.Base{}, Params: p, NProc: 64},
-		{Scheme: core.Base{}, Params: p, NProc: 16},
+	points := make([]Point, 512)
+	for i := range points {
+		points[i] = Point{Scheme: core.Base{}, Params: p, NProc: i + 1}
 	}
 	eng := &Engine{Workers: 1, Cache: ev}
 	if err := FirstError(eng.EvaluateBus(points, costs)); err != nil {
 		t.Fatal(err)
 	}
 	st := ev.Stats()
+	if st.MVASolves != 1 || st.CurveFullSolves != 1 {
+		t.Errorf("MVASolves = %d (full %d), want 1: one solve at the group's largest population", st.MVASolves, st.CurveFullSolves)
+	}
 	if st.CurveEntries != 1 {
 		t.Errorf("CurveEntries = %d, want 1 (one key, one published curve)", st.CurveEntries)
 	}
-	if st.MVASolves != st.CurveExtends+st.CurveFullSolves {
-		t.Errorf("MVASolves %d != extends %d + fulls %d", st.MVASolves, st.CurveExtends, st.CurveFullSolves)
+	if st.DemandSolves != 1 {
+		t.Errorf("DemandSolves = %d, want 1", st.DemandSolves)
 	}
 	before := ev.Stats()
-	if _, err := ev.BusPoint(core.Base{}, p, costs, 64); err != nil {
+	if _, err := ev.BusPoint(core.Base{}, p, costs, 512); err != nil {
 		t.Fatal(err)
 	}
 	after := ev.Stats()
 	if after.MVASolves != before.MVASolves {
-		t.Errorf("query at the published length re-solved; run did not publish")
+		t.Errorf("query at the group's largest population re-solved; the group did not publish")
 	}
 	if after.MVAHits != before.MVAHits+1 {
 		t.Errorf("MVAHits %d -> %d, want +1", before.MVAHits, after.MVAHits)
-	}
-}
-
-// TestSlicePoolRoundTrip pins the pool's class arithmetic: acquired
-// lengths are exact, capacities are class sizes, and recycled buffers
-// come back zeroed.
-func TestSlicePoolRoundTrip(t *testing.T) {
-	var p SlicePool[int]
-	for _, n := range []int{0, 1, 7, 8, 9, 100, 4096, 1 << 18, 1<<18 + 1} {
-		s := p.Acquire(n)
-		if len(*s) != n {
-			t.Fatalf("Acquire(%d): len %d", n, len(*s))
-		}
-		if n > 0 && n <= 1<<18 && cap(*s)&(cap(*s)-1) != 0 {
-			t.Fatalf("Acquire(%d): cap %d not a power of two", n, cap(*s))
-		}
-		for i := range *s {
-			(*s)[i] = i + 1
-		}
-		p.Release(s)
-	}
-	s := p.Acquire(8)
-	for i, v := range *s {
-		if v != 0 {
-			t.Fatalf("recycled buffer not cleared: [%d] = %d", i, v)
-		}
 	}
 }

@@ -168,3 +168,31 @@ func TestSingleflightWaiterCancellable(t *testing.T) {
 		t.Errorf("DemandEntries = %d, want 1 (the leader still published)", st.DemandEntries)
 	}
 }
+
+// TestLoneGroupPointHonorsCtx: a batch cell alone in its group honors
+// the caller's ctx like any other. The demand solve is held open, ctx is
+// cancelled, and the solve released: the cell must report the
+// cancellation without an MVA solve.
+func TestLoneGroupPointHonorsCtx(t *testing.T) {
+	ev := NewEvaluator()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	scheme := signalingScheme{inner: core.Base{}, entered: entered, release: release}
+	points := []Point{{Scheme: scheme, Params: core.MiddleParams(), NProc: 8}}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan []Result, 1)
+	go func() {
+		done <- (&Engine{Workers: 1, Cache: ev}).EvaluateBusCtx(ctx, points, core.BusCosts())
+	}()
+	<-entered
+	cancel()
+	close(release)
+	res := <-done
+	if !errors.Is(res[0].Err, context.Canceled) {
+		t.Errorf("lone cell returned err %v, want context.Canceled", res[0].Err)
+	}
+	if st := ev.Stats(); st.MVASolves != 0 {
+		t.Errorf("MVASolves = %d after cancellation, want 0", st.MVASolves)
+	}
+}

@@ -679,14 +679,7 @@ func (ev *Evaluator) EvaluateBusCtx(ctx context.Context, s core.Scheme, p core.P
 // curve — the intermediate MVA slice is never cloned. A nil or short dst
 // falls back to allocating, which is how EvaluateBusCtx calls it.
 func (ev *Evaluator) EvaluateBusIntoCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, maxProcs int, dst []core.BusPoint) ([]core.BusPoint, error) {
-	if maxProcs < 1 {
-		return nil, fmt.Errorf("core: maxProcs %d < 1", maxProcs)
-	}
-	d, err := ev.DemandCtx(ctx, s, p, costs)
-	if err != nil {
-		return nil, err
-	}
-	mva, err := ev.curveShared(ctx, d, maxProcs)
+	c, err := ev.BusCurveCtx(ctx, s, p, costs, maxProcs)
 	if err != nil {
 		return nil, err
 	}
@@ -696,11 +689,45 @@ func (ev *Evaluator) EvaluateBusIntoCtx(ctx context.Context, s core.Scheme, p co
 	} else {
 		points = make([]core.BusPoint, maxProcs)
 	}
-	for i := 0; i < maxProcs; i++ {
-		points[i] = core.BusPointFromMVA(d, mva[i])
+	for i := range points {
+		points[i] = c.At(i + 1)
 	}
 	return points, nil
 }
+
+// BusCurve is a read-only view of one (scheme, workload) pair's bus
+// model at populations 1..maxProcs: the demand plus the shared,
+// immutable cached MVA curve. The MVA recursion carries only the queue
+// length from one population to the next, so one solve at a batch
+// group's largest population answers every smaller point bit for bit;
+// grouped callers build one BusCurve per group and read their cells off
+// it. The zero value is empty.
+type BusCurve struct {
+	d   core.Demand
+	mva []queueing.SingleServerResult // a shared cache entry; never mutated
+}
+
+// BusCurveCtx resolves the demand and the shared MVA curve through
+// maxProcs, through both caches and with DemandCtx's cancellation and
+// observability.
+func (ev *Evaluator) BusCurveCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, maxProcs int) (BusCurve, error) {
+	if maxProcs < 1 {
+		return BusCurve{}, fmt.Errorf("core: maxProcs %d < 1", maxProcs)
+	}
+	d, err := ev.DemandCtx(ctx, s, p, costs)
+	if err != nil {
+		return BusCurve{}, err
+	}
+	mva, err := ev.curveShared(ctx, d, maxProcs)
+	if err != nil {
+		return BusCurve{}, err
+	}
+	return BusCurve{d: d, mva: mva[:maxProcs]}, nil
+}
+
+// At returns the prediction at exactly n processors, bit-identical to
+// BusPoint for the same inputs. n must lie in 1..maxProcs.
+func (c BusCurve) At(n int) core.BusPoint { return core.BusPointFromMVA(c.d, c.mva[n-1]) }
 
 // BusPoint returns the bus-model prediction at exactly nproc processors.
 func (ev *Evaluator) BusPoint(s core.Scheme, p core.Params, costs *core.CostTable, nproc int) (core.BusPoint, error) {

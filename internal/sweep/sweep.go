@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -56,11 +57,11 @@ func (e *Engine) workers() int {
 // the point, so the result slice is bit-identical to a sequential run.
 //
 // With a cache attached, points sharing one (scheme, canonical workload)
-// are grouped into a single work unit that a worker solves
-// population-ascending through a CurveRun: each point resumes the MVA
-// recursion where the previous one stopped, instead of round-tripping
-// the shared cache per point. Single-point groups take the plain
-// BusPoint path unchanged.
+// are grouped into a single work unit: one BusCurve solved at the
+// group's largest valid population answers every cell, because the MVA
+// recursion carries only the queue length from one population to the
+// next and so a curve's prefix is each smaller cell's answer bit for
+// bit.
 func (e *Engine) EvaluateBus(points []Point, costs *core.CostTable) []Result {
 	return e.EvaluateBusCtx(context.Background(), points, costs)
 }
@@ -100,16 +101,15 @@ func (e *Engine) EvaluateBusCtx(ctx context.Context, points []Point, costs *core
 		return points[i].Scheme, points[i].Params, points[i].NProc
 	})
 	EachCtx(ctx, workers, len(groups), func(g int) error {
+		maxProcs := 0
 		for _, i := range groups[g] {
 			results[i].Point = points[i]
+			if pt := points[i]; pt.NProc > maxProcs && pt.Params.Validate() == nil {
+				maxProcs = pt.NProc
+			}
 		}
-		if len(groups[g]) == 1 {
-			i := groups[g][0]
-			pt := points[i]
-			results[i].Bus, results[i].Err = cache.BusPoint(pt.Scheme, pt.Params, costs, pt.NProc)
-			return nil
-		}
-		var run *CurveRun
+		var curve BusCurve
+		solved := false
 		for _, i := range groups[g] {
 			pt := points[i]
 			// Per-point validation order matches BusPoint exactly, so
@@ -122,18 +122,15 @@ func (e *Engine) EvaluateBusCtx(ctx context.Context, points []Point, costs *core
 				results[i].Err = fmt.Errorf("%s: %w", pt.Scheme.Name(), err)
 				continue
 			}
-			if run == nil {
-				r, err := cache.StartCurveRun(ctx, pt.Scheme, pt.Params, costs)
+			if !solved {
+				c, err := cache.BusCurveCtx(ctx, pt.Scheme, pt.Params, costs, maxProcs)
 				if err != nil {
 					results[i].Err = err
 					continue
 				}
-				run = r
+				curve, solved = c, true
 			}
-			results[i].Bus, results[i].Err = run.BusPointAt(ctx, pt.NProc)
-		}
-		if run != nil {
-			run.Finish(ctx)
+			results[i].Bus = curve.At(pt.NProc)
 		}
 		return nil
 	})
@@ -238,4 +235,38 @@ func EachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// BatchGroups partitions point indices 0..n-1 into groups that share one
+// (scheme, canonical workload) pair — and hence one demand solve and one
+// MVA curve — with each group sorted population-ascending, so its last
+// point is the population one BusCurve solve must reach. at reports
+// point i's fields. Groups appear in first-occurrence order and sorting
+// is stable, so the decomposition is deterministic; callers still write
+// per-point results by index, keeping output order independent of
+// grouping.
+func BatchGroups(n int, at func(i int) (core.Scheme, core.Params, int)) [][]int {
+	type groupKey struct {
+		scheme string
+		params core.Params
+	}
+	groups := map[groupKey]int{}
+	out := [][]int{}
+	nprocs := make([]int, n)
+	for i := 0; i < n; i++ {
+		s, p, nproc := at(i)
+		nprocs[i] = nproc
+		k := groupKey{core.SchemeLabel(s), core.CanonicalParams(s, p)}
+		gi, ok := groups[k]
+		if !ok {
+			gi = len(out)
+			groups[k] = gi
+			out = append(out, nil)
+		}
+		out[gi] = append(out[gi], i)
+	}
+	for _, g := range out {
+		sort.SliceStable(g, func(a, b int) bool { return nprocs[g[a]] < nprocs[g[b]] })
+	}
+	return out
 }
