@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-hammer bench bench-short bench-json bench-diff alloc-check fmt-check check serve smoke schemes-smoke chaos-smoke jobs-smoke gw-smoke loadgen docs-check artifacts examples golden cover clean
+.PHONY: all build test vet race race-hammer bench bench-short bench-json bench-diff alloc-check fmt-check perfbench-check check serve smoke schemes-smoke chaos-smoke jobs-smoke gw-smoke loadgen docs-check artifacts examples golden cover clean
 
 all: build vet test
 
@@ -120,11 +120,20 @@ gw-smoke:
 	$(GO) run ./cmd/cohereload -gw -c 8 -d 1s > /dev/null
 	@echo "gw-smoke: ok (affinity wins, failover clean, warm restart verified)"
 
+# Benchmark-module gate: perfbench is its own Go module (its go.mod
+# replaces swcc with this checkout), so the root `go build ./...` never
+# compiles it. Vetting and unit-testing it here means a change to the
+# swcc APIs it calls (core.ReadParams, the scheme registry, the
+# evaluator) cannot break the benchmark while the root tests stay green.
+# Runs no benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # The pre-merge gate: formatting, vet, the race-enabled test run, the
 # repeated concurrency hammers, the allocation pins (non-race), the
-# documentation and scheme-registry gates, and the overload +
-# async-job + gateway drills.
-check: fmt-check vet race race-hammer alloc-check docs-check schemes-smoke chaos-smoke jobs-smoke gw-smoke
+# documentation and scheme-registry gates, the benchmark module's
+# build and unit tests, and the overload + async-job + gateway drills.
+check: fmt-check vet race race-hammer alloc-check docs-check schemes-smoke perfbench-check chaos-smoke jobs-smoke gw-smoke
 
 # Run the model-serving daemon in the foreground.
 COHERED_ADDR ?= 127.0.0.1:8080

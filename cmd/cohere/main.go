@@ -239,7 +239,7 @@ func cmdAdvise(args []string, out io.Writer) error {
 		}
 	} else {
 		var err error
-		if p, err = paramsForLevel(*level); err != nil {
+		if p, err = core.LevelParams(*level); err != nil {
 			return err
 		}
 	}
@@ -311,7 +311,7 @@ func cmdCompare(args []string, out io.Writer) error {
 		return err
 	}
 	load := func(spec string) (core.Params, error) {
-		if p, err := paramsForLevel(spec); err == nil {
+		if p, err := core.LevelParams(spec); err == nil {
 			return p, nil
 		}
 		f, err := os.Open(spec)
@@ -382,7 +382,7 @@ func cmdEval(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p, err := paramsForLevel(*level)
+	p, err := core.LevelParams(*level)
 	if err != nil {
 		return err
 	}
@@ -452,7 +452,7 @@ func cmdSweep(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	base, err := paramsForLevel(*level)
+	base, err := core.LevelParams(*level)
 	if err != nil {
 		return err
 	}
@@ -501,7 +501,7 @@ func cmdRefine(ctx context.Context, args []string, out io.Writer) error {
 		}
 		schemes = append(schemes, s)
 	}
-	base, err := paramsForLevel(*level)
+	base, err := core.LevelParams(*level)
 	if err != nil {
 		return err
 	}
@@ -568,18 +568,6 @@ func cmdRefine(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "\n%d cell solves in %d waves (equivalent dense grid: %d)\n",
 		res.Solves, res.Waves, dense*len(schemes))
 	return nil
-}
-
-func paramsForLevel(level string) (core.Params, error) {
-	switch level {
-	case "low":
-		return core.ParamsAt(core.Low), nil
-	case "mid", "middle":
-		return core.ParamsAt(core.Mid), nil
-	case "high":
-		return core.ParamsAt(core.High), nil
-	}
-	return core.Params{}, fmt.Errorf("unknown level %q", level)
 }
 
 func parseSet(kv string) (string, float64, error) {

@@ -259,7 +259,7 @@ func FieldByName(name string) (FieldSpec, error) {
 // ParamsAt returns a Params with every field at the given Table 7 level.
 func ParamsAt(l Level) Params {
 	var p Params
-	for _, f := range Fields() {
+	for _, f := range fieldSpecs {
 		f.Set(&p, f.Value(l))
 	}
 	return p

@@ -11,9 +11,11 @@
 // that fail repeatedly, re-admits them on recovery, and re-spills an
 // excluded backend's keys deterministically to the next-ranked backend
 // (rendezvous hashing moves only the dead backend's keys — the survivors'
-// caches keep their ranges). /v1/sweep batches are partitioned by owner
-// backend and reassembled in caller order. A round-robin policy exists
-// as the control arm for benchmarks.
+// caches keep their ranges). Only /v1/bus and /v1/network bodies key on
+// the canonical cache key; every other POST, /v1/sweep batches included,
+// is forwarded whole and keyed by its raw body, so identical bodies
+// co-locate. A round-robin policy exists as the control arm for
+// benchmarks.
 //
 // Front-tier hardening on top of routing: hedged requests (an
 // idempotent request that outlives the observed-latency hedge delay is
@@ -435,7 +437,6 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("GET /readyz", g.handleReadyz)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
-	mux.HandleFunc("POST /v1/sweep", g.handleSweep)
 	mux.HandleFunc("POST /v1/jobs/sweep", g.handleJobs)
 	mux.HandleFunc("GET /v1/jobs", g.handleJobs)
 	mux.HandleFunc("GET /v1/jobs/{id}", g.handleJobs)
@@ -469,8 +470,8 @@ type proxyOpts struct {
 	streaming bool
 }
 
-// handleAPI proxies one single-point API request: read the body,
-// derive its routing key, forward along the ranked candidates.
+// handleAPI proxies one API request: read the body, derive its routing
+// key, forward along the ranked candidates.
 func (g *Gateway) handleAPI(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 	if err != nil {

@@ -264,9 +264,10 @@ func TestProbeExclusionAndReadmission(t *testing.T) {
 	}
 }
 
-// TestSweepFanOut partitions a mixed batch across two backends and
-// checks the reassembled response is exactly what one backend would
-// have produced: same count, caller order, every point present.
+// TestSweepFanOut sends a mixed batch through a two-backend gateway and
+// checks the response is exactly what one backend would have produced:
+// same count, caller order, every point present. The gateway forwards
+// batches whole, so this pins that the proxy leaves them untouched.
 func TestSweepFanOut(t *testing.T) {
 	_, b1 := newBackend(t)
 	_, b2 := newBackend(t)
@@ -342,8 +343,8 @@ func TestSweepFanOut(t *testing.T) {
 	}
 }
 
-// TestSweepFanOutErrorRemap pins that a validation error in a
-// partitioned batch names the caller's point index, not the sub-batch's.
+// TestSweepFanOutErrorRemap pins that a validation error in a batch
+// sent through the gateway names the caller's point index.
 func TestSweepFanOutErrorRemap(t *testing.T) {
 	_, b1 := newBackend(t)
 	_, b2 := newBackend(t)

@@ -507,11 +507,11 @@ func TestReloadDrainsRemovedBackend(t *testing.T) {
 	}
 }
 
-// TestSweepFanOutUnderHealthFlips hammers the sweep fan-out while a
-// backend's health flips underneath it (run under -race): every 200
-// must be caller-ordered and bit-identical to the direct-to-backend
-// answer, and anything else must be a clean JSON error — never
-// interleaved or partial results.
+// TestSweepFanOutUnderHealthFlips hammers /v1/sweep through the
+// gateway while a backend's health flips underneath it (run under
+// -race): every 200 must be caller-ordered and bit-identical to the
+// direct-to-backend answer, and anything else must be a clean JSON
+// error — never interleaved or partial results.
 func TestSweepFanOutUnderHealthFlips(t *testing.T) {
 	_, b1 := newBackend(t)
 	s2, b2 := newBackend(t)

@@ -1,9 +1,7 @@
 package gw
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 
 	"swcc/internal/core"
@@ -53,24 +51,12 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// keyRequest is the tolerant decode of any keyed /v1 body: the routing
-// fields shared by /v1/bus and /v1/network, unknown fields ignored —
-// strict validation is the backend's job, the gateway only needs a
-// stable equivalence class.
-type keyRequest struct {
-	Scheme     string          `json:"scheme"`
-	LockFrac   *float64        `json:"lockfrac"`
-	UpdateFrac *float64        `json:"updatefrac"`
-	Level      string          `json:"level"`
-	Params     json.RawMessage `json:"params"`
-}
-
 // requestKey derives the routing key for one request body. Bus and
 // network requests key on (scheme identity, canonical params); bodies
-// that do not parse — and endpoints with no single scheme (advisor,
-// sensitivity) — fall back to hashing the raw bytes, which affects only
-// affinity quality (identical bodies still co-locate), never
-// correctness.
+// that do not resolve — and endpoints with no single scheme (advisor,
+// sensitivity, sweep batches) — fall back to hashing the raw bytes,
+// which affects only affinity quality (identical bodies still
+// co-locate), never correctness.
 func (g *Gateway) requestKey(path string, body []byte) uint64 {
 	switch path {
 	case "/v1/bus", "/v1/network":
@@ -82,17 +68,23 @@ func (g *Gateway) requestKey(path string, body []byte) uint64 {
 	return rawKey(body)
 }
 
-// pointKey keys one bus-shaped body on its canonical cache identity.
+// pointKey keys one bus-shaped body on its canonical cache identity. It
+// decodes tolerantly — unknown fields are ignored, strict validation is
+// the backend's job — into core's request types and resolves them with
+// core's resolver, so a body keys exactly as the backend will solve it.
 func pointKey(body []byte) (uint64, bool) {
-	var req keyRequest
+	var req struct {
+		core.SchemeSpec
+		core.Workload
+	}
 	if err := json.Unmarshal(body, &req); err != nil {
 		return 0, false
 	}
-	scheme, err := keyScheme(req.Scheme, req.LockFrac, req.UpdateFrac)
+	scheme, err := req.SchemeSpec.Resolve()
 	if err != nil {
 		return 0, false
 	}
-	p, err := keyParams(req.Level, req.Params)
+	p, err := req.Workload.Resolve()
 	if err != nil {
 		return 0, false
 	}
@@ -105,53 +97,6 @@ func pointKey(body []byte) (uint64, bool) {
 		h = hashFloat(h, f)
 	}
 	return h, true
-}
-
-// keyScheme resolves a scheme name the way the backend will, knob
-// values (hybrid lock fraction, hybrid-update update fraction)
-// included: the registry supplies each scheme's knob name, default,
-// and constructor, so new knobbed schemes key correctly with no
-// gateway change.
-func keyScheme(name string, lockFrac, updateFrac *float64) (core.Scheme, error) {
-	info, ok := core.SchemeInfoByName(name)
-	if !ok {
-		return core.SchemeByName(name) // surfaces the names-listing error
-	}
-	if info.Configure == nil {
-		return info.Scheme, nil
-	}
-	v := info.KnobDefault
-	switch info.Knob {
-	case "lockfrac":
-		if lockFrac != nil {
-			v = *lockFrac
-		}
-	case "updatefrac":
-		if updateFrac != nil {
-			v = *updateFrac
-		}
-	}
-	return info.Configure(v)
-}
-
-// keyParams resolves the workload spec the way the backend will: a
-// Table 7 level, explicit params, or the middle defaults.
-func keyParams(level string, params json.RawMessage) (core.Params, error) {
-	switch level {
-	case "low":
-		return core.ParamsAt(core.Low), nil
-	case "mid":
-		return core.ParamsAt(core.Mid), nil
-	case "high":
-		return core.ParamsAt(core.High), nil
-	case "":
-	default:
-		return core.Params{}, fmt.Errorf("gw: unknown level %q", level)
-	}
-	if len(params) == 0 {
-		return core.MiddleParams(), nil
-	}
-	return core.ReadParams(bytes.NewReader(params))
 }
 
 // rawKey is the fallback routing key: FNV-1a over the body bytes.

@@ -17,10 +17,9 @@ import (
 // (instrument middleware, access log, decode, validate, admission, memo
 // hit, encode) into an httptest recorder. The request and recorder are
 // built inside the measured function, as a client's would be, so the
-// counts include them. The /v1/bus budgets sit at the counts measured
-// with solves inline and one bus cost table per server; the /v1/sweep
-// budget at the 207 measured with pooled per-point buffers, which
-// reading cells off one group curve must not exceed.
+// counts include them. Each budget sits at the count measured once
+// request bodies decode in one pass straight into core's request types
+// (params included) and resolve through core's resolver.
 //
 // Runs without the race detector: its instrumentation perturbs
 // testing.AllocsPerRun.
@@ -39,9 +38,9 @@ func TestHandlerWarmPathAllocs(t *testing.T) {
 		body   string
 		budget float64
 	}{
-		{"point", "/v1/bus", `{"scheme": "swflush", "params": {"shd": 0.3}, "procs": 16, "point": true}`, 73},
-		{"curve", "/v1/bus", `{"scheme": "swflush", "params": {"shd": 0.3}, "procs": 16}`, 74},
-		{"sweep", "/v1/sweep", `{"points": [` + strings.Join(cells, ", ") + `]}`, 207},
+		{"point", "/v1/bus", `{"scheme": "swflush", "params": {"shd": 0.3}, "procs": 16, "point": true}`, 66},
+		{"curve", "/v1/bus", `{"scheme": "swflush", "params": {"shd": 0.3}, "procs": 16}`, 67},
+		{"sweep", "/v1/sweep", `{"points": [` + strings.Join(cells, ", ") + `]}`, 135},
 	} {
 		serve := func() {
 			rec := httptest.NewRecorder()

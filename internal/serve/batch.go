@@ -65,11 +65,7 @@ func (s *Server) handleSweep(ctx context.Context, body []byte) (any, error) {
 	}
 	jobs := make([]sweepJob, len(req.Points))
 	for i, pr := range req.Points {
-		scheme, err := resolveScheme(pr.Scheme, pr.LockFrac, pr.UpdateFrac)
-		if err != nil {
-			return nil, pointErr(i, err)
-		}
-		p, err := resolveParams(pr.Level, pr.Params)
+		scheme, p, err := resolve(pr.SchemeSpec, pr.Workload)
 		if err != nil {
 			return nil, pointErr(i, err)
 		}

@@ -186,92 +186,32 @@ func decodeStrict(body []byte, v any) error {
 	return nil
 }
 
-// resolveParams turns the request's workload spec into a validated
-// core.Params. `params` reuses core.ReadParams, so field names, unknown
-// field rejection, Table 7 middle defaults for omitted fields, and
-// domain validation (including the NaN/Inf checks) are exactly the
-// library's; `level` selects a whole Table 7 column instead.
-func resolveParams(level string, params json.RawMessage) (core.Params, error) {
-	if level != "" && len(params) > 0 {
-		return core.Params{}, badRequest(`"level" and "params" are mutually exclusive`)
-	}
-	switch level {
-	case "":
-	case "low":
-		return core.ParamsAt(core.Low), nil
-	case "mid":
-		return core.ParamsAt(core.Mid), nil
-	case "high":
-		return core.ParamsAt(core.High), nil
-	default:
-		return core.Params{}, badRequest("unknown level %q (want low, mid, or high)", level)
-	}
-	if len(params) == 0 {
-		return core.MiddleParams(), nil
-	}
-	p, err := core.ReadParams(bytes.NewReader(params))
+// resolve maps a single-scheme request to the model's two inputs
+// through core's request resolver. Every failure there is the
+// client's, so it is a 400.
+func resolve(spec core.SchemeSpec, w core.Workload) (core.Scheme, core.Params, error) {
+	scheme, err := spec.Resolve()
 	if err != nil {
-		return core.Params{}, badRequest("%v", err)
+		return nil, core.Params{}, badRequest("%v", err)
 	}
-	return p, nil
+	p, err := w.Resolve()
+	if err != nil {
+		return nil, core.Params{}, badRequest("%v", err)
+	}
+	return scheme, p, nil
 }
 
-// resolveScheme resolves a request's scheme name against the registry,
-// applying the scheme's knob ("lockfrac" for hybrid, "updatefrac" for
-// hybrid-update) when the request carries one. A knob value sent for a
-// scheme without that knob is a 400, as before.
-func resolveScheme(name string, lockFrac, updateFrac *float64) (core.Scheme, error) {
-	info, ok := core.SchemeInfoByName(name)
-	if !ok {
-		_, err := core.SchemeByName(name) // for the names-listing error text
-		return nil, badRequest("%v", err)
+// resolveSchemes resolves a request's scheme list through core, or
+// returns def when the list is empty.
+func resolveSchemes(names []string, k core.Knobs, def []core.Scheme) ([]core.Scheme, error) {
+	if len(names) == 0 {
+		return def, nil
 	}
-	var knob *float64
-	switch {
-	case lockFrac != nil && updateFrac != nil:
-		return nil, badRequest(`"lockfrac" and "updatefrac" are mutually exclusive`)
-	case lockFrac != nil:
-		if info.Knob != "lockfrac" {
-			return nil, badRequest(`"lockfrac" only applies to scheme "hybrid"`)
-		}
-		knob = lockFrac
-	case updateFrac != nil:
-		if info.Knob != "updatefrac" {
-			return nil, badRequest(`"updatefrac" only applies to scheme "hybrid-update"`)
-		}
-		knob = updateFrac
-	}
-	if info.Configure == nil {
-		return info.Scheme, nil
-	}
-	v := info.KnobDefault
-	if knob != nil {
-		v = *knob
-		if math.IsNaN(v) || v < 0 || v > 1 {
-			return nil, badRequest("%s %v not in [0,1]", info.Knob, v)
-		}
-	}
-	sch, err := info.Configure(v)
+	schemes, err := core.ResolveSchemes(names, k)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	return sch, nil
-}
-
-// knobArgs picks which of the request's knob values apply to the named
-// scheme, so a request listing several schemes can carry "lockfrac" (or
-// "updatefrac") without erroring on the schemes that have no such knob —
-// matching the old behavior of passing lockfrac only to "hybrid".
-func knobArgs(name string, lockFrac, updateFrac *float64) (lf, uf *float64) {
-	if info, ok := core.SchemeInfoByName(name); ok {
-		switch info.Knob {
-		case "lockfrac":
-			lf = lockFrac
-		case "updatefrac":
-			uf = updateFrac
-		}
-	}
-	return lf, uf
+	return schemes, nil
 }
 
 func (s *Server) checkProcs(procs int) (int, error) {
@@ -294,13 +234,9 @@ func (s *Server) checkStages(stages int) (int, error) {
 // --- /v1/bus ---
 
 type busRequest struct {
-	Scheme   string   `json:"scheme"`
-	LockFrac *float64 `json:"lockfrac,omitempty"`
-	// UpdateFrac tunes the hybrid-update scheme's update share.
-	UpdateFrac *float64        `json:"updatefrac,omitempty"`
-	Level      string          `json:"level,omitempty"`
-	Params     json.RawMessage `json:"params,omitempty"`
-	Procs      int             `json:"procs,omitempty"`
+	core.SchemeSpec
+	core.Workload
+	Procs int `json:"procs,omitempty"`
 	// Point requests only the prediction at exactly Procs processors
 	// instead of the full 1..Procs curve.
 	Point bool `json:"point,omitempty"`
@@ -318,11 +254,7 @@ func (s *Server) handleBus(ctx context.Context, body []byte) (any, error) {
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
 	}
-	scheme, err := resolveScheme(req.Scheme, req.LockFrac, req.UpdateFrac)
-	if err != nil {
-		return nil, err
-	}
-	p, err := resolveParams(req.Level, req.Params)
+	scheme, p, err := resolve(req.SchemeSpec, req.Workload)
 	if err != nil {
 		return nil, err
 	}
@@ -352,13 +284,9 @@ func (s *Server) handleBus(ctx context.Context, body []byte) (any, error) {
 // --- /v1/network ---
 
 type networkRequest struct {
-	Scheme   string   `json:"scheme"`
-	LockFrac *float64 `json:"lockfrac,omitempty"`
-	// UpdateFrac tunes the hybrid-update scheme's update share.
-	UpdateFrac *float64        `json:"updatefrac,omitempty"`
-	Level      string          `json:"level,omitempty"`
-	Params     json.RawMessage `json:"params,omitempty"`
-	Stages     int             `json:"stages"`
+	core.SchemeSpec
+	core.Workload
+	Stages int `json:"stages"`
 	// Model selects the contention model: "patel" (default, the paper's
 	// retry fixed point) or "mva" (the footnote-2 load-dependent MVA).
 	Model string `json:"model,omitempty"`
@@ -375,11 +303,7 @@ func (s *Server) handleNetwork(ctx context.Context, body []byte) (any, error) {
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
 	}
-	scheme, err := resolveScheme(req.Scheme, req.LockFrac, req.UpdateFrac)
-	if err != nil {
-		return nil, err
-	}
-	p, err := resolveParams(req.Level, req.Params)
+	scheme, p, err := resolve(req.SchemeSpec, req.Workload)
 	if err != nil {
 		return nil, err
 	}
@@ -412,18 +336,15 @@ func (s *Server) handleNetwork(ctx context.Context, body []byte) (any, error) {
 // --- /v1/advisor ---
 
 type advisorRequest struct {
-	Level  string          `json:"level,omitempty"`
-	Params json.RawMessage `json:"params,omitempty"`
-	Procs  int             `json:"procs,omitempty"`
+	core.Workload
+	Procs int `json:"procs,omitempty"`
 	// Stages 0 ranks on a Procs-processor bus; >= 1 on a 2^Stages
 	// network.
 	Stages int `json:"stages,omitempty"`
 	// Schemes restricts the candidate set (default: the advisor's usual
 	// implementable candidates).
-	Schemes  []string `json:"schemes,omitempty"`
-	LockFrac *float64 `json:"lockfrac,omitempty"`
-	// UpdateFrac tunes the hybrid-update scheme's update share.
-	UpdateFrac *float64 `json:"updatefrac,omitempty"`
+	Schemes []string `json:"schemes,omitempty"`
+	core.Knobs
 }
 
 type rankingJSON struct {
@@ -446,21 +367,13 @@ func (s *Server) handleAdvisor(ctx context.Context, body []byte) (any, error) {
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
 	}
-	p, err := resolveParams(req.Level, req.Params)
+	p, err := req.Workload.Resolve()
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	candidates, err := resolveSchemes(req.Schemes, req.Knobs, defaultCandidates())
 	if err != nil {
 		return nil, err
-	}
-	candidates := defaultCandidates()
-	if len(req.Schemes) > 0 {
-		candidates = candidates[:0]
-		for _, name := range req.Schemes {
-			lf, uf := knobArgs(name, req.LockFrac, req.UpdateFrac)
-			sch, err := resolveScheme(name, lf, uf)
-			if err != nil {
-				return nil, err
-			}
-			candidates = append(candidates, sch)
-		}
 	}
 	var hardware string
 	var rank func() ([]core.Ranking, error)
@@ -509,10 +422,8 @@ type sensitivityRequest struct {
 	Procs int `json:"procs,omitempty"`
 	// Schemes lists the table's columns (default: the paper's four
 	// schemes).
-	Schemes  []string `json:"schemes,omitempty"`
-	LockFrac *float64 `json:"lockfrac,omitempty"`
-	// UpdateFrac tunes the hybrid-update scheme's update share.
-	UpdateFrac *float64 `json:"updatefrac,omitempty"`
+	Schemes []string `json:"schemes,omitempty"`
+	core.Knobs
 }
 
 func (s *Server) handleSensitivity(ctx context.Context, body []byte) (any, error) {
@@ -524,17 +435,9 @@ func (s *Server) handleSensitivity(ctx context.Context, body []byte) (any, error
 	if err != nil {
 		return nil, err
 	}
-	schemes := core.PaperSchemes()
-	if len(req.Schemes) > 0 {
-		schemes = schemes[:0]
-		for _, name := range req.Schemes {
-			lf, uf := knobArgs(name, req.LockFrac, req.UpdateFrac)
-			sch, err := resolveScheme(name, lf, uf)
-			if err != nil {
-				return nil, err
-			}
-			schemes = append(schemes, sch)
-		}
+	schemes, err := resolveSchemes(req.Schemes, req.Knobs, core.PaperSchemes())
+	if err != nil {
+		return nil, err
 	}
 	return s.solve(ctx, func() (any, error) {
 		// Threading the request ctx means an abandoned sensitivity grid

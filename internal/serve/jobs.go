@@ -35,13 +35,10 @@ type jobSubmitRequest struct {
 	Mode  string `json:"mode,omitempty"`
 	Label string `json:"label,omitempty"`
 	// Schemes names the competing schemes (refine needs at least two).
-	Schemes  []string `json:"schemes"`
-	LockFrac *float64 `json:"lockfrac,omitempty"`
-	// UpdateFrac tunes the hybrid-update scheme's update share.
-	UpdateFrac *float64 `json:"updatefrac,omitempty"`
-	// Level / Params set the base workload, as in /v1/bus.
-	Level  string          `json:"level,omitempty"`
-	Params json.RawMessage `json:"params,omitempty"`
+	Schemes []string `json:"schemes"`
+	core.Knobs
+	// Workload sets the base workload, as in /v1/bus.
+	core.Workload
 	// Axis sweeps one workload parameter: grid mode takes Steps linear
 	// values over [From, To]; refine mode subdivides adaptively (and also
 	// accepts "procs" for the machine-size axis).
@@ -159,18 +156,13 @@ func (s *Server) handleJobSubmit(ctx context.Context, body []byte) (any, error) 
 	if len(req.Schemes) == 0 {
 		return nil, badRequest(`"schemes" must be a non-empty array`)
 	}
-	schemes := make([]core.Scheme, 0, len(req.Schemes))
-	for _, name := range req.Schemes {
-		lf, uf := knobArgs(name, req.LockFrac, req.UpdateFrac)
-		sch, err := resolveScheme(name, lf, uf)
-		if err != nil {
-			return nil, err
-		}
-		schemes = append(schemes, sch)
-	}
-	base, err := resolveParams(req.Level, req.Params)
+	schemes, err := resolveSchemes(req.Schemes, req.Knobs, nil)
 	if err != nil {
 		return nil, err
+	}
+	base, err := req.Workload.Resolve()
+	if err != nil {
+		return nil, badRequest("%v", err)
 	}
 
 	var run jobs.Runner
@@ -524,22 +516,30 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 	// (Ignored where the transport has no deadlines, e.g. httptest.)
 	rc := http.NewResponseController(w)
 	started := false
-	writeLine := func(v any) bool {
-		line, err := json.Marshal(v)
-		if err != nil {
-			s.log.Error("marshal results line", "err", err)
-			return false
-		}
+	// writeRow writes one already-encoded line plus its newline through
+	// a reused buffer: spooled rows come from json.Marshal, so they are
+	// written as they are, and the spool's bytes are never appended to.
+	var line []byte
+	writeRow := func(row []byte) bool {
 		if !started {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(http.StatusOK)
 			started = true
 		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
+		line = append(append(line[:0], row...), '\n')
+		if _, err := w.Write(line); err != nil {
 			s.log.Debug("job results client gone", "job", j.ID(), "err", err)
 			return false
 		}
 		return true
+	}
+	writeLine := func(v any) bool {
+		row, err := json.Marshal(v)
+		if err != nil {
+			s.log.Error("marshal results line", "err", err)
+			return false
+		}
+		return writeRow(row)
 	}
 	for {
 		rc.SetWriteDeadline(time.Now().Add(jobWriteWindow)) //nolint:errcheck
@@ -564,7 +564,7 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		}
 		for _, b := range batches {
 			for _, row := range b.Rows {
-				if !writeLine(json.RawMessage(row)) {
+				if !writeRow(row) {
 					return
 				}
 			}

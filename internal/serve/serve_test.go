@@ -472,3 +472,21 @@ func (s *safeBuffer) String() string {
 	defer s.mu.Unlock()
 	return s.b.String()
 }
+
+// TestLevelMiddleAlias pins the one level parser: the API accepts the
+// "middle" spelling the CLI always had, and answers it byte for byte as
+// "mid".
+func TestLevelMiddleAlias(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, mid := post(t, ts, "/v1/bus", `{"scheme": "dragon", "level": "mid", "procs": 8}`)
+	if code != http.StatusOK {
+		t.Fatalf("level mid: status %d: %s", code, mid)
+	}
+	code, middle := post(t, ts, "/v1/bus", `{"scheme": "dragon", "level": "middle", "procs": 8}`)
+	if code != http.StatusOK {
+		t.Fatalf("level middle: status %d: %s", code, middle)
+	}
+	if string(mid) != string(middle) {
+		t.Fatalf("level middle differs from mid:\n%s\nvs\n%s", middle, mid)
+	}
+}

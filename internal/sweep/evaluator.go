@@ -468,24 +468,6 @@ func (ev *Evaluator) DemandCtx(ctx context.Context, s core.Scheme, p core.Params
 	return fl.v, fl.err
 }
 
-// cloneCurve copies the first n results of a cached or in-flight curve
-// so returned slices are caller-owned: the cache's backing arrays are
-// immutable once published, and no two callers ever share one.
-func cloneCurve(c []queueing.SingleServerResult, n int) []queueing.SingleServerResult {
-	return append([]queueing.SingleServerResult(nil), c[:n]...)
-}
-
-// curve is curveShared with a caller-owned clone of the result, for the
-// few callers that hand the slice to code outside the evaluator's
-// immutability regime.
-func (ev *Evaluator) curve(ctx context.Context, d core.Demand, n int) ([]queueing.SingleServerResult, error) {
-	c, err := ev.curveShared(ctx, d, n)
-	if err != nil {
-		return nil, err
-	}
-	return cloneCurve(c, n), nil
-}
-
 // curveShared returns the MVA results for populations 1..n, reusing (a
 // prefix of) a previously solved curve for the same (think, service) when
 // long enough, and — the incremental kernel — resuming the recursion from
@@ -495,8 +477,7 @@ func (ev *Evaluator) curve(ctx context.Context, d core.Demand, n int) ([]queuein
 //
 // The returned slice has length >= n and is SHARED and immutable: it is
 // a published cache entry, a completed flight value, or the solve about
-// to become one. Callers must not mutate or pool it; use curve for a
-// caller-owned copy.
+// to become one. Callers must not mutate or pool it.
 //
 // Concurrent misses on one key join an in-flight solve when its target
 // population covers theirs; a request for a longer curve than the one in
@@ -629,37 +610,6 @@ func (ev *Evaluator) curveShared(ctx context.Context, d core.Demand, n int) ([]q
 	return fl.v, nil
 }
 
-// curvePoint returns the single MVA result at population n, without the
-// caller-owned-clone cost of curve: the hot single-point path (BusPoint,
-// grid cells, bisections) only reads one element, so copying the whole
-// prefix out of the cache on every hit would be pure memory traffic.
-func (ev *Evaluator) curvePoint(ctx context.Context, d core.Demand, n int) (queueing.SingleServerResult, error) {
-	key := mvaKey{d.Think(), d.Interconnect, d.Priority}
-	sh := &ev.curves[key.shard()]
-	var sp obs.Span
-	if ev.obsv != nil {
-		sp = obs.Start()
-	}
-	sh.mu.RLock()
-	if sl, ok := sh.entries[key]; ok && len(sl.v) >= n {
-		sl.ref.Store(true)
-		r := sl.v[n-1]
-		sh.mu.RUnlock()
-		ev.mvaHits.Add(1)
-		if ev.obsv != nil {
-			ev.obsv.StageObserved(ctx, StageCacheLookup, sp.Seconds())
-			ev.obsv.CacheEvent(ctx, "mva", EventHit)
-		}
-		return r, nil
-	}
-	sh.mu.RUnlock()
-	c, err := ev.curveShared(ctx, d, n)
-	if err != nil {
-		return queueing.SingleServerResult{}, err
-	}
-	return c[n-1], nil
-}
-
 // EvaluateBus is a memoized core.EvaluateBus: identical results, served
 // from the demand and curve caches when possible.
 func (ev *Evaluator) EvaluateBus(s core.Scheme, p core.Params, costs *core.CostTable, maxProcs int) ([]core.BusPoint, error) {
@@ -667,28 +617,15 @@ func (ev *Evaluator) EvaluateBus(s core.Scheme, p core.Params, costs *core.CostT
 }
 
 // EvaluateBusCtx is EvaluateBus with an observability context (see
-// DemandCtx); results are identical to EvaluateBus.
+// DemandCtx); results are identical to EvaluateBus. The points are
+// converted straight off the shared cached curve, so a warm evaluation
+// allocates only the returned slice.
 func (ev *Evaluator) EvaluateBusCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, maxProcs int) ([]core.BusPoint, error) {
-	return ev.EvaluateBusIntoCtx(ctx, s, p, costs, maxProcs, nil)
-}
-
-// EvaluateBusIntoCtx is EvaluateBusCtx with a caller-provided result
-// buffer: when cap(dst) >= maxProcs the returned slice reuses dst's
-// backing array, so a warm (demand-hit, curve-hit) evaluation allocates
-// nothing. The bus points are converted straight off the shared cached
-// curve — the intermediate MVA slice is never cloned. A nil or short dst
-// falls back to allocating, which is how EvaluateBusCtx calls it.
-func (ev *Evaluator) EvaluateBusIntoCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, maxProcs int, dst []core.BusPoint) ([]core.BusPoint, error) {
 	c, err := ev.BusCurveCtx(ctx, s, p, costs, maxProcs)
 	if err != nil {
 		return nil, err
 	}
-	var points []core.BusPoint
-	if cap(dst) >= maxProcs {
-		points = dst[:maxProcs]
-	} else {
-		points = make([]core.BusPoint, maxProcs)
-	}
+	points := make([]core.BusPoint, maxProcs)
 	for i := range points {
 		points[i] = c.At(i + 1)
 	}
@@ -744,11 +681,11 @@ func (ev *Evaluator) BusPointCtx(ctx context.Context, s core.Scheme, p core.Para
 	if err != nil {
 		return core.BusPoint{}, err
 	}
-	r, err := ev.curvePoint(ctx, d, nproc)
+	c, err := ev.curveShared(ctx, d, nproc)
 	if err != nil {
 		return core.BusPoint{}, err
 	}
-	return core.BusPointFromMVA(d, r), nil
+	return core.BusPointFromMVA(d, c[nproc-1]), nil
 }
 
 // BusPower implements core.PowerEvaluator, so the evaluator plugs

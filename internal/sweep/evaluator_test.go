@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"swcc/internal/core"
-	"swcc/internal/queueing"
 )
 
 // randomParams draws every Table 7 parameter uniformly from its
@@ -222,22 +221,19 @@ func TestCurveResultsAreCallerOwned(t *testing.T) {
 	ev := NewEvaluator()
 	costs := core.BusCosts()
 	p := core.MiddleParams()
-	d, err := ev.Demand(core.Base{}, p, costs)
+	ctx := context.Background()
+	want, err := ev.EvaluateBusCtx(ctx, core.Base{}, p, costs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ev.curve(context.Background(), d, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pristine := append([]queueing.SingleServerResult(nil), want...)
+	pristine := append([]core.BusPoint(nil), want...)
 	// Scribble over the miss-path return, then over a hit-path return.
 	for pass := 0; pass < 2; pass++ {
 		for i := range want {
 			want[i].Wait = -1
 			want[i].Utilization = 99
 		}
-		got, err := ev.curve(context.Background(), d, 16)
+		got, err := ev.EvaluateBusCtx(ctx, core.Base{}, p, costs, 16)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -214,35 +214,9 @@ func TestCurveExtendAcrossFreshTables(t *testing.T) {
 	}
 }
 
-// TestEvaluateBusIntoReusesDst pins EvaluateBusIntoCtx's buffer contract:
-// sufficient capacity means the dst backing array is reused; results
-// match the allocating path exactly.
-func TestEvaluateBusIntoReusesDst(t *testing.T) {
-	p := core.MiddleParams()
-	costs := core.BusCosts()
-	ev := NewEvaluator()
-	want, err := ev.EvaluateBus(core.Base{}, p, costs, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]core.BusPoint, 0, 64)
-	got, err := ev.EvaluateBusIntoCtx(context.Background(), core.Base{}, p, costs, 32, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &dst[:1][0] {
-		t.Error("dst with sufficient capacity was not reused")
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("point %d differs between Into and allocating paths", i+1)
-		}
-	}
-}
-
 // TestCurveSharedCoversLonger: a dedup join on a longer in-flight solve
 // returns a slice longer than requested; the public paths must slice it
-// to n. This pins curve()'s clone length.
+// to n. This pins BusCurveCtx's view length.
 func TestCurveSharedCoversLonger(t *testing.T) {
 	p := core.MiddleParams()
 	costs := core.BusCosts()
@@ -250,16 +224,13 @@ func TestCurveSharedCoversLonger(t *testing.T) {
 	if _, err := ev.EvaluateBus(core.Base{}, p, costs, 128); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ev.Demand(core.Base{}, p, costs)
+	bc, err := ev.BusCurveCtx(context.Background(), core.Base{}, p, costs, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := ev.curve(context.Background(), d, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, c := bc.d, bc.mva
 	if len(c) != 5 {
-		t.Fatalf("curve(5) returned %d results", len(c))
+		t.Fatalf("BusCurveCtx(5) holds %d results", len(c))
 	}
 	var want []queueing.SingleServerResult
 	want, err = queueing.SingleServerMVA(d.Think(), d.Interconnect, 5)
