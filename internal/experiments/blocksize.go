@@ -61,25 +61,21 @@ func runBlockSize(ctx context.Context, opt Options) (*Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.Run(sim.Config{
-			NCPU: tr.NCPU, Cache: cache, Protocol: sim.ProtoDragon,
-			WarmupRefs: len(tr.Refs) / 2,
-		}, tr)
-		if err != nil {
-			return nil, err
-		}
+		// measure's Dragon shadow run is the full-trace simulation at
+		// this block size.
+		simPower := m.Dragon.Power()
 		costs := core.BusCostsForBlock(bs / 4)
 		modelPts, err := core.EvaluateBus(core.Dragon{}, m.Params, costs, tr.NCPU)
 		if err != nil {
 			return nil, err
 		}
 		simSeries.X = append(simSeries.X, float64(bs))
-		simSeries.Y = append(simSeries.Y, res.Power())
+		simSeries.Y = append(simSeries.Y, simPower)
 		modelSeries.X = append(modelSeries.X, float64(bs))
 		modelSeries.Y = append(modelSeries.Y, modelPts[tr.NCPU-1].Power)
 		tab.AddRow(fmt.Sprint(bs),
 			fmt.Sprintf("%.4f", m.Params.MsDat), fmt.Sprintf("%.4f", m.Params.MsIns),
-			fmt.Sprintf("%.3f", res.Power()), fmt.Sprintf("%.3f", modelPts[tr.NCPU-1].Power))
+			fmt.Sprintf("%.3f", simPower), fmt.Sprintf("%.3f", modelPts[tr.NCPU-1].Power))
 	}
 	ds.Series = []plot.Series{simSeries, modelSeries}
 	ds.Table = tab

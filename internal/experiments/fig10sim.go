@@ -63,13 +63,15 @@ func runFig10Sim(ctx context.Context, opt Options) (*Dataset, error) {
 			}
 		}
 	}
+	// Split the trace once; size n replays the first n streams.
+	streams := tr.PerCPU()
 	powers := make([]float64, len(jobs))
 	if err := sweep.Each(0, len(jobs), func(i int) error {
 		j := jobs[i]
-		sub := tr.Restrict(j.n)
-		res, err := sim.Run(sim.Config{
+		sub := streams[:j.n]
+		res, err := sim.RunStreams(sim.Config{
 			NCPU: j.n, Cache: cache, Protocol: j.proto, Medium: j.medium,
-			WarmupRefs: len(sub.Refs) / 2,
+			WarmupRefs: streamRefs(sub) / 2,
 		}, sub)
 		if err != nil {
 			return err

@@ -61,18 +61,28 @@ func validate(tr *trace.Trace, cache sim.CacheConfig, pairs []protoScheme) ([]pl
 	// The simulations dominate the cost and are independent across both
 	// the scheme and the machine size: flatten (pair, n) into one job
 	// grid and run it on all cores, writing each power into its own
-	// slot. The analytic side goes through the shared cache.
+	// slot. Machine size n replays the first n processors' streams of
+	// one split. The full-size Base and Dragon cells are measure's
+	// shadow runs (same processors, cache and protocol, and a 0.5
+	// warmup fraction is exactly half the records), so they are read
+	// back instead of simulated again. The analytic side goes through
+	// the shared cache.
+	streams := tr.PerCPU()
 	nsizes := tr.NCPU
 	simPowers := make([]float64, len(pairs)*nsizes)
 	if err := sweep.Each(0, len(simPowers), func(i int) error {
 		pr := pairs[i/nsizes]
 		n := i%nsizes + 1
-		sub := tr.Restrict(n)
-		res, err := sim.Run(sim.Config{
+		if shadow := shadowRun(m, pr.proto); n == nsizes && shadow != nil {
+			simPowers[i] = shadow.Power()
+			return nil
+		}
+		sub := streams[:n]
+		res, err := sim.RunStreams(sim.Config{
 			NCPU:       n,
 			Cache:      cache,
 			Protocol:   pr.proto,
-			WarmupRefs: len(sub.Refs) / 2,
+			WarmupRefs: streamRefs(sub) / 2,
 		}, sub)
 		if err != nil {
 			return err
@@ -99,6 +109,27 @@ func validate(tr *trace.Trace, cache sim.CacheConfig, pairs []protoScheme) ([]pl
 		out = append(out, simSeries, modelSeries)
 	}
 	return out, m, nil
+}
+
+// shadowRun returns measure's full-trace shadow run for proto, or nil
+// if measure runs none under that protocol.
+func shadowRun(m *measure.Measurement, proto sim.Protocol) *sim.Result {
+	switch proto {
+	case sim.ProtoBase:
+		return m.Base
+	case sim.ProtoDragon:
+		return m.Dragon
+	}
+	return nil
+}
+
+// streamRefs returns the streams' total record count.
+func streamRefs(streams [][]trace.Ref) int {
+	n := 0
+	for _, s := range streams {
+		n += len(s)
+	}
+	return n
 }
 
 func seriesTable(series []plot.Series) *report.Table {

@@ -36,7 +36,9 @@ type Measurement struct {
 	// flush records (true) or from inter-processor handoffs (false).
 	FlushDelimited bool
 	// Base and Dragon are the shadow-simulation results, exposed so
-	// validation can reuse them without re-simulating.
+	// validation can reuse them without re-simulating: each replays the
+	// whole trace on all its processors with the caller's cache and
+	// warmup.
 	Base, Dragon *sim.Result
 }
 
@@ -99,7 +101,9 @@ func Extract(t *trace.Trace, cache sim.CacheConfig, warmupFrac float64) (*Measur
 		return nil, err
 	}
 
-	base, err := sim.Run(sim.Config{NCPU: t.NCPU, Cache: cache, Protocol: sim.ProtoBase, WarmupRefs: warmup}, t)
+	// Both shadow runs replay the same per-processor streams.
+	streams := t.PerCPU()
+	base, err := sim.RunStreams(sim.Config{NCPU: t.NCPU, Cache: cache, Protocol: sim.ProtoBase, WarmupRefs: warmup}, streams)
 	if err != nil {
 		return nil, fmt.Errorf("measure: base shadow simulation: %w", err)
 	}
@@ -115,7 +119,7 @@ func Extract(t *trace.Trace, cache sim.CacheConfig, warmupFrac float64) (*Measur
 		m.Params.MD = float64(tot.DirtyReplacements) / float64(misses)
 	}
 
-	dragon, err := sim.Run(sim.Config{NCPU: t.NCPU, Cache: cache, Protocol: sim.ProtoDragon, WarmupRefs: warmup}, t)
+	dragon, err := sim.RunStreams(sim.Config{NCPU: t.NCPU, Cache: cache, Protocol: sim.ProtoDragon, WarmupRefs: warmup}, streams)
 	if err != nil {
 		return nil, fmt.Errorf("measure: dragon shadow simulation: %w", err)
 	}

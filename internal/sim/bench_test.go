@@ -7,9 +7,9 @@ import (
 	"swcc/internal/tracegen"
 )
 
-func benchTrace(b *testing.B, instr int) *trace.Trace {
+func benchTrace(b *testing.B, preset string, instr int) *trace.Trace {
 	b.Helper()
-	cfg, err := tracegen.Preset("pops")
+	cfg, err := tracegen.Preset(preset)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -22,20 +22,34 @@ func benchTrace(b *testing.B, instr int) *trace.Trace {
 }
 
 // BenchmarkSimHotLoop drives the engine's per-record path (protocol
-// dispatch, cost application, cache access) with each protocol; the
-// allocs/op figure guards the hot loop against regressing into
-// per-access allocation.
+// dispatch, cost application, cache access) with each protocol on the
+// 4-processor pops trace, plus Dragon on the 8-processor pero8 trace,
+// where each snoop has the most other caches to consult. The allocs/op
+// figure guards the hot loop against regressing into per-access
+// allocation.
 func BenchmarkSimHotLoop(b *testing.B) {
-	tr := benchTrace(b, 20_000)
 	cache := CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2}
-	for _, proto := range []Protocol{ProtoBase, ProtoDragon, ProtoNoCache, ProtoSoftwareFlush} {
-		b.Run(proto.String(), func(b *testing.B) {
-			cfg := Config{NCPU: tr.NCPU, Cache: cache, Protocol: proto}
+	pops := benchTrace(b, "pops", 20_000)
+	cases := []struct {
+		name  string
+		tr    *trace.Trace
+		proto Protocol
+	}{
+		{"Base", pops, ProtoBase},
+		{"Dragon", pops, ProtoDragon},
+		{"No-Cache", pops, ProtoNoCache},
+		{"Software-Flush", pops, ProtoSoftwareFlush},
+		{"Write-Invalidate", pops, ProtoWriteInvalidate},
+		{"pero8-Dragon", benchTrace(b, "pero8", 10_000), ProtoDragon},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := Config{NCPU: c.tr.NCPU, Cache: cache, Protocol: c.proto}
 			b.ReportAllocs()
-			b.SetBytes(int64(len(tr.Refs)))
+			b.SetBytes(int64(len(c.tr.Refs)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(cfg, tr); err != nil {
+				if _, err := Run(cfg, c.tr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -44,10 +58,11 @@ func BenchmarkSimHotLoop(b *testing.B) {
 }
 
 // BenchmarkTraceRestrict covers the counting-pass preallocation in
-// trace.Restrict, which the parallel validation experiments call once
-// per (scheme, machine size) job.
+// trace.Restrict. The validation experiments do not call it: they split
+// each trace once with trace.PerCPU and replay prefixes of the streams
+// through RunStreams.
 func BenchmarkTraceRestrict(b *testing.B) {
-	tr := benchTrace(b, 20_000)
+	tr := benchTrace(b, "pops", 20_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -256,6 +256,11 @@ type engine struct {
 	clocks []uint64
 	stats  []CPUStats
 	snoop  SnoopStats
+	// held counts, under the snoopy protocols, how many caches hold
+	// each block (blocks no cache holds have no entry). It lets
+	// othersHolding skip the scan of the other caches for the private
+	// blocks that make up most references.
+	held map[uint64]int32
 
 	// Hot-loop precomputation: the protocol tests and float->cycle cost
 	// conversions run once per trace record, so they are resolved once
@@ -272,6 +277,9 @@ func (e *engine) prepare() {
 	e.nocache = e.cfg.Protocol == ProtoNoCache
 	e.swflush = e.cfg.Protocol == ProtoSoftwareFlush
 	e.snoopy = e.dragon || e.wi
+	if e.snoopy {
+		e.held = make(map[uint64]int32)
+	}
 	ops := core.Ops()
 	e.opCPU = make([]uint64, len(ops))
 	e.opIC = make([]uint64, len(ops))
@@ -283,16 +291,42 @@ func (e *engine) prepare() {
 	e.stealCycles = e.opCPU[core.OpCycleSteal]
 }
 
-// Run simulates the trace under the configuration and returns the result.
+// Run simulates the trace under the configuration and returns the result:
+// it validates the trace and replays its per-processor streams with
+// RunStreams.
 func Run(cfg Config, t *trace.Trace) (*Result, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.NCPU == 0 {
-		cfg.NCPU = t.NCPU
+	return RunStreams(cfg, t.PerCPU())
+}
+
+// RunStreams simulates per-processor reference streams, as split by
+// trace.Trace.PerCPU: streams[c] is processor c's references in program
+// order, and the records' CPU field is not consulted. WarmupRefs counts
+// against the streams' total length, and cfg.NCPU defaults to
+// len(streams). Callers that replay one trace under several
+// configurations split it once; streams[:n] runs the first n processors'
+// workloads on an n-processor machine, as trace.Trace.Restrict(n) does.
+func RunStreams(cfg Config, streams [][]trace.Ref) (*Result, error) {
+	e, err := newEngine(cfg, len(streams))
+	if err != nil {
+		return nil, err
 	}
-	if cfg.NCPU < t.NCPU {
-		return nil, fmt.Errorf("%w: config ncpu %d < trace ncpu %d", ErrBadConfig, cfg.NCPU, t.NCPU)
+	return e.run(streams)
+}
+
+// newEngine checks cfg for nstreams processor streams and builds the
+// caches and interconnect.
+func newEngine(cfg Config, nstreams int) (*engine, error) {
+	if cfg.NCPU == 0 {
+		cfg.NCPU = nstreams
+	}
+	if cfg.NCPU < nstreams {
+		return nil, fmt.Errorf("%w: config ncpu %d < trace ncpu %d", ErrBadConfig, cfg.NCPU, nstreams)
+	}
+	if cfg.NCPU < 1 {
+		return nil, fmt.Errorf("%w: ncpu %d", ErrBadConfig, cfg.NCPU)
 	}
 	if !cfg.Protocol.valid() {
 		return nil, fmt.Errorf("%w: unknown protocol %d", ErrBadConfig, int(cfg.Protocol))
@@ -328,19 +362,26 @@ func Run(cfg Config, t *trace.Trace) (*Result, error) {
 		e.caches[i] = c
 	}
 	e.prepare()
+	return e, nil
+}
 
-	if cfg.WarmupRefs < 0 || (cfg.WarmupRefs > 0 && cfg.WarmupRefs >= len(t.Refs)) {
-		return nil, fmt.Errorf("%w: warmup %d out of range for %d records", ErrBadConfig, cfg.WarmupRefs, len(t.Refs))
+// run replays the streams and reports the post-warmup statistics.
+func (e *engine) run(streams [][]trace.Ref) (*Result, error) {
+	cfg := e.cfg
+	remaining := 0
+	for _, s := range streams {
+		remaining += len(s)
+	}
+	if cfg.WarmupRefs < 0 || (cfg.WarmupRefs > 0 && cfg.WarmupRefs >= remaining) {
+		return nil, fmt.Errorf("%w: warmup %d out of range for %d records", ErrBadConfig, cfg.WarmupRefs, remaining)
 	}
 
-	streams := t.PerCPU()
 	cursor := make([]int, len(streams))
 	processed := 0
 	var warmStats []CPUStats
 	var warmClocks []uint64
 	var warmBusy, warmWait, warmTrans uint64
 	var warmSnoop SnoopStats
-	remaining := len(t.Refs)
 	for remaining > 0 {
 		if processed == cfg.WarmupRefs && cfg.WarmupRefs > 0 {
 			warmStats = append([]CPUStats(nil), e.stats...)
@@ -362,10 +403,12 @@ func Run(cfg Config, t *trace.Trace) (*Result, error) {
 			}
 		}
 		ref := streams[cpu][cursor[cpu]]
+		if !e.step(cpu, ref) {
+			return nil, fmt.Errorf("%w: processor %d record %d kind %d", trace.ErrBadTrace, cpu, cursor[cpu], ref.Kind)
+		}
 		cursor[cpu]++
 		remaining--
 		processed++
-		e.step(int(ref.CPU), ref)
 	}
 
 	busy, wait, trans := e.ic.stats()
@@ -438,26 +481,44 @@ func (e *engine) applyOp(cpu int, op core.Op, addr uint64) {
 }
 
 // othersHolding scans the other caches for the block, returning whether
-// any holds it, how many, and a processor holding it dirty (-1 if none).
+// any holds it, how many, and the lowest-index processor holding it dirty
+// (-1 if none). The holder count answers "none" without a scan, and the
+// scan stops once it has found every holder.
 func (e *engine) othersHolding(cpu int, block uint64) (present bool, holders int, dirtyAt int) {
 	dirtyAt = -1
-	for c, cache := range e.caches {
+	n := int(e.held[block])
+	if n > 0 && e.caches[cpu].Present(block) {
+		n--
+	}
+	for c := 0; c < len(e.caches) && holders < n; c++ {
 		if c == cpu {
 			continue
 		}
-		if cache.Present(block) {
-			present = true
+		if l := e.caches[c].find(block); l != nil {
 			holders++
-			if dirtyAt < 0 && cache.IsDirty(block) {
+			if dirtyAt < 0 && l.state == dirty {
 				dirtyAt = c
 			}
 		}
 	}
-	return present, holders, dirtyAt
+	return holders > 0, holders, dirtyAt
 }
 
-// step processes one trace record.
-func (e *engine) step(cpu int, ref trace.Ref) {
+// fill and drop keep the snoopy holder counts: one more, or one fewer,
+// cache holds block.
+func (e *engine) fill(block uint64) { e.held[block]++ }
+
+func (e *engine) drop(block uint64) {
+	if n := e.held[block]; n > 1 {
+		e.held[block] = n - 1
+	} else {
+		delete(e.held, block)
+	}
+}
+
+// step processes one trace record. It reports false, having done
+// nothing, for a record of unknown kind.
+func (e *engine) step(cpu int, ref trace.Ref) bool {
 	switch ref.Kind {
 	case trace.IFetch:
 		e.stats[cpu].Instructions++
@@ -471,7 +532,10 @@ func (e *engine) step(cpu int, ref trace.Ref) {
 		e.dataRef(cpu, ref, true)
 	case trace.Flush:
 		e.flush(cpu, ref)
+	default:
+		return false
 	}
+	return true
 }
 
 // dataRef handles a load or store.
@@ -541,6 +605,12 @@ func (e *engine) access(cpu int, ref trace.Ref, write bool) {
 	}
 
 	victim := cache.Insert(block, markDirty)
+	if snoopy {
+		e.fill(block)
+		if victim.Valid {
+			e.drop(victim.Block)
+		}
+	}
 	if victim.Valid && victim.Dirty {
 		e.stats[cpu].DirtyReplacements++
 	}
@@ -563,6 +633,7 @@ func (e *engine) access(cpu int, ref trace.Ref, write bool) {
 		// Write-Invalidate stores.
 		if e.wi && write {
 			e.caches[dirtyAt].Invalidate(block)
+			e.drop(block)
 		} else {
 			e.caches[dirtyAt].MarkClean(block)
 		}
@@ -588,6 +659,7 @@ func (e *engine) broadcast(cpu int, block uint64, holders int) {
 		}
 		if e.wi {
 			cache.Invalidate(block)
+			e.drop(block)
 			continue
 		}
 		// Dragon: the holding cache updates its copy, stealing a

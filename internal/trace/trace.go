@@ -112,8 +112,9 @@ func (t *Trace) PerCPU() [][]Ref {
 
 // Restrict returns a new trace containing only the references of the
 // first ncpu processors, preserving order. It models running the same
-// per-processor workloads on a smaller machine, which is how the
-// validation experiments sweep 1..N processors from one trace.
+// per-processor workloads on a smaller machine. Sweeping 1..N
+// processors from one trace needs no copy per size: PerCPU()[:ncpu]
+// holds the same streams, and sim.RunStreams replays them.
 func (t *Trace) Restrict(ncpu int) *Trace {
 	if ncpu >= t.NCPU {
 		return t
