@@ -27,10 +27,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Quick perf signal: the sweep engine (sequential vs parallel vs cached,
-# with the speedup metric) and the simulator hot loop only.
+# with the speedup metric), the simulator hot loop, and one full-length
+# Figures 1-3 validation pass.
 bench-short:
 	$(GO) test -run=NONE -bench='BenchmarkSweep|BenchmarkEvaluator' -benchmem ./internal/sweep
 	$(GO) test -run=NONE -bench='BenchmarkSimHotLoop|BenchmarkTraceRestrict' -benchmem ./internal/sim
+	$(GO) test -run=NONE -bench=BenchmarkValidationPass -benchmem ./internal/experiments
 
 # One change's serving-latency record, BENCH_PR$(PR).json: cohereload
 # drives the hit-heavy and miss-heavy mixes against an in-process

@@ -51,10 +51,12 @@ type protoScheme struct {
 }
 
 // validate runs model-vs-simulation for the given schemes and cache size
-// across machine sizes 1..tr.NCPU. It returns (simulated, modeled) power
-// series per scheme plus the parameter measurement used by the model.
-func validate(tr *trace.Trace, cache sim.CacheConfig, pairs []protoScheme) ([]plot.Series, *measure.Measurement, error) {
-	m, err := measure.Extract(tr, cache, 0.5)
+// across machine sizes 1..a.NCPU of the analysed trace. It returns
+// (simulated, modeled) power series per scheme plus the parameter
+// measurement used by the model. Figures that validate one trace at
+// several cache sizes analyse it once and pass the same analysis.
+func validate(a *measure.Analysis, cache sim.CacheConfig, pairs []protoScheme) ([]plot.Series, *measure.Measurement, error) {
+	m, err := a.Extract(cache, 0.5)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -62,13 +64,13 @@ func validate(tr *trace.Trace, cache sim.CacheConfig, pairs []protoScheme) ([]pl
 	// the scheme and the machine size: flatten (pair, n) into one job
 	// grid and run it on all cores, writing each power into its own
 	// slot. Machine size n replays the first n processors' streams of
-	// one split. The full-size Base and Dragon cells are measure's
-	// shadow runs (same processors, cache and protocol, and a 0.5
-	// warmup fraction is exactly half the records), so they are read
-	// back instead of simulated again. The analytic side goes through
-	// the shared cache.
-	streams := tr.PerCPU()
-	nsizes := tr.NCPU
+	// the analysis's split. The full-size Base and Dragon cells are
+	// measure's shadow runs (same processors, cache and protocol, and a
+	// 0.5 warmup fraction is exactly half the records), so they are
+	// read back instead of simulated again. The analytic side goes
+	// through the shared cache.
+	streams := a.Streams
+	nsizes := a.NCPU
 	simPowers := make([]float64, len(pairs)*nsizes)
 	if err := sweep.Each(0, len(simPowers), func(i int) error {
 		pr := pairs[i/nsizes]
@@ -96,11 +98,11 @@ func validate(tr *trace.Trace, cache sim.CacheConfig, pairs []protoScheme) ([]pl
 	for pi, pr := range pairs {
 		simSeries := plot.Series{Name: pr.scheme.Name() + " sim"}
 		modelSeries := plot.Series{Name: pr.scheme.Name() + " model"}
-		modelPts, err := busEval.EvaluateBus(pr.scheme, m.Params, core.BusCosts(), tr.NCPU)
+		modelPts, err := busEval.EvaluateBus(pr.scheme, m.Params, core.BusCosts(), nsizes)
 		if err != nil {
 			return nil, nil, err
 		}
-		for n := 1; n <= tr.NCPU; n++ {
+		for n := 1; n <= nsizes; n++ {
 			simSeries.X = append(simSeries.X, float64(n))
 			simSeries.Y = append(simSeries.Y, simPowers[pi*nsizes+n-1])
 			modelSeries.X = append(modelSeries.X, float64(n))
@@ -155,8 +157,12 @@ func runFig1(ctx context.Context, opt Options) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	a, err := measure.Analyze(tr)
+	if err != nil {
+		return nil, err
+	}
 	cache := sim.CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2}
-	series, m, err := validate(tr, cache, []protoScheme{
+	series, m, err := validate(a, cache, []protoScheme{
 		{sim.ProtoBase, core.Base{}},
 		{sim.ProtoDragon, core.Dragon{}},
 	})
@@ -179,45 +185,34 @@ func runFig1(ctx context.Context, opt Options) (*Dataset, error) {
 }
 
 func runFig2(ctx context.Context, opt Options) (*Dataset, error) {
-	tr, preset, err := validationTrace(opt, "pops")
-	if err != nil {
-		return nil, err
-	}
-	ds := &Dataset{
-		ID:     "fig2",
-		Title:  fmt.Sprintf("Dragon model vs simulation across cache sizes, %q trace", preset),
-		XLabel: "processors",
-		YLabel: "processing power",
-	}
-	for _, size := range []int{16 * 1024, 64 * 1024, 256 * 1024} {
-		cache := sim.CacheConfig{Size: size, BlockSize: 16, Assoc: 2}
-		series, _, err := validate(tr, cache, []protoScheme{{sim.ProtoDragon, core.Dragon{}}})
-		if err != nil {
-			return nil, err
-		}
-		for i := range series {
-			series[i].Name = fmt.Sprintf("%dK %s", size/1024, series[i].Name[len("Dragon "):])
-		}
-		ds.Series = append(ds.Series, series...)
-	}
-	ds.Table = seriesTable(ds.Series)
-	return ds, nil
+	return dragonCacheSizes(opt, "fig2", "pops", "Dragon model vs simulation across cache sizes, %q trace")
 }
 
 func runFig3(ctx context.Context, opt Options) (*Dataset, error) {
-	tr, preset, err := validationTrace(opt, "pero8")
+	return dragonCacheSizes(opt, "fig3", "pero8", "Dragon model vs simulation, 8-processor %q trace")
+}
+
+// dragonCacheSizes validates Dragon on one trace, generated from the
+// preset def unless opt names another, at three cache sizes. The trace
+// is analysed once for all three. title formats the preset name.
+func dragonCacheSizes(opt Options, id, def, title string) (*Dataset, error) {
+	tr, preset, err := validationTrace(opt, def)
+	if err != nil {
+		return nil, err
+	}
+	a, err := measure.Analyze(tr)
 	if err != nil {
 		return nil, err
 	}
 	ds := &Dataset{
-		ID:     "fig3",
-		Title:  fmt.Sprintf("Dragon model vs simulation, 8-processor %q trace", preset),
+		ID:     id,
+		Title:  fmt.Sprintf(title, preset),
 		XLabel: "processors",
 		YLabel: "processing power",
 	}
 	for _, size := range []int{16 * 1024, 64 * 1024, 256 * 1024} {
 		cache := sim.CacheConfig{Size: size, BlockSize: 16, Assoc: 2}
-		series, _, err := validate(tr, cache, []protoScheme{{sim.ProtoDragon, core.Dragon{}}})
+		series, _, err := validate(a, cache, []protoScheme{{sim.ProtoDragon, core.Dragon{}}})
 		if err != nil {
 			return nil, err
 		}

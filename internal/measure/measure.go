@@ -7,6 +7,12 @@
 //     caller's cache geometry;
 //   - oclean, opres, nshd come from a Dragon shadow simulation's snoop
 //     observations.
+//
+// Only the shadow simulations depend on the cache geometry. Analyze
+// validates a trace, runs its stream analysis and splits it into
+// per-processor streams once; (*Analysis).Extract then runs the two
+// shadow simulations for each geometry on those streams. Extract does
+// both steps for a single geometry.
 package measure
 
 import (
@@ -87,23 +93,62 @@ func Stability(t *trace.Trace, cache sim.CacheConfig, warmupFrac float64) (map[s
 // cache geometry. warmupFrac in [0,1) is the leading fraction of the
 // trace used only to warm the caches in the shadow simulations; 0.5 is a
 // sensible default for synthetic traces, compensating for compulsory
-// misses that a longer real trace would amortize.
+// misses that a longer real trace would amortize. Measuring one trace
+// under several geometries is Analyze once, then (*Analysis).Extract for
+// each.
 func Extract(t *trace.Trace, cache sim.CacheConfig, warmupFrac float64) (*Measurement, error) {
+	a, err := Analyze(t)
+	if err != nil {
+		return nil, err
+	}
+	return a.Extract(cache, warmupFrac)
+}
+
+// Analysis is the cache-independent part of a trace's measurement: the
+// stream parameters ls, shd, wr, apl and mdshd, and the trace split into
+// per-processor streams for the shadow simulations.
+type Analysis struct {
+	// NCPU is the trace's processor count.
+	NCPU int
+	// Streams holds each processor's references in program order, as
+	// split by trace.Trace.PerCPU. Callers may replay them (prefixes
+	// too, through sim.RunStreams) but must not modify them.
+	Streams [][]trace.Ref
+	// refs is the trace's record count, the base of the warmup fraction.
+	refs int
+	// stream holds the stream parameters and run counters every
+	// Extract starts from.
+	stream Measurement
+}
+
+// Analyze validates the trace, runs the stream analysis and splits the
+// trace into per-processor streams. It reports ErrEmptyTrace for a trace
+// with no instructions.
+func Analyze(t *trace.Trace) (*Analysis, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	a := &Analysis{NCPU: t.NCPU, refs: len(t.Refs)}
+	if err := a.stream.streamAnalysis(t); err != nil {
+		return nil, err
+	}
+	a.Streams = t.PerCPU()
+	return a, nil
+}
+
+// Extract measures all eleven parameters under the given cache geometry:
+// the stream parameters from the analysis, the rest from Base and Dragon
+// shadow simulations of the streams with the leading warmupFrac of the
+// records as warmup (see the package-level Extract).
+func (a *Analysis) Extract(cache sim.CacheConfig, warmupFrac float64) (*Measurement, error) {
 	if warmupFrac < 0 || warmupFrac >= 1 {
 		return nil, fmt.Errorf("measure: warmup fraction %g not in [0,1)", warmupFrac)
 	}
-	warmup := int(float64(len(t.Refs)) * warmupFrac)
-	m := &Measurement{}
-	if err := m.streamAnalysis(t); err != nil {
-		return nil, err
-	}
+	warmup := int(float64(a.refs) * warmupFrac)
+	m := new(Measurement)
+	*m = a.stream
 
-	// Both shadow runs replay the same per-processor streams.
-	streams := t.PerCPU()
-	base, err := sim.RunStreams(sim.Config{NCPU: t.NCPU, Cache: cache, Protocol: sim.ProtoBase, WarmupRefs: warmup}, streams)
+	base, err := sim.RunStreams(sim.Config{NCPU: a.NCPU, Cache: cache, Protocol: sim.ProtoBase, WarmupRefs: warmup}, a.Streams)
 	if err != nil {
 		return nil, fmt.Errorf("measure: base shadow simulation: %w", err)
 	}
@@ -119,7 +164,7 @@ func Extract(t *trace.Trace, cache sim.CacheConfig, warmupFrac float64) (*Measur
 		m.Params.MD = float64(tot.DirtyReplacements) / float64(misses)
 	}
 
-	dragon, err := sim.RunStreams(sim.Config{NCPU: t.NCPU, Cache: cache, Protocol: sim.ProtoDragon, WarmupRefs: warmup}, streams)
+	dragon, err := sim.RunStreams(sim.Config{NCPU: a.NCPU, Cache: cache, Protocol: sim.ProtoDragon, WarmupRefs: warmup}, a.Streams)
 	if err != nil {
 		return nil, fmt.Errorf("measure: dragon shadow simulation: %w", err)
 	}

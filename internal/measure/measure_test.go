@@ -3,6 +3,7 @@ package measure
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"swcc/internal/sim"
@@ -114,6 +115,63 @@ func TestExtractInvalidTrace(t *testing.T) {
 	tr := &trace.Trace{NCPU: 1, Refs: []trace.Ref{{CPU: 5, Kind: trace.Read}}}
 	if _, err := Extract(tr, cache64k, 0.5); err == nil {
 		t.Error("want error for invalid trace")
+	}
+}
+
+// TestAnalyzeOnceExtractPerGeometry pins that one analysis serves every
+// cache geometry: each (*Analysis).Extract equals a fresh Extract of the
+// trace, however many extractions came before it, and none of them
+// changes the analysis's streams.
+func TestAnalyzeOnceExtractPerGeometry(t *testing.T) {
+	cfg, err := tracegen.Preset("pero8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.InstrPerCPU = 5_000
+	tr, err := tracegen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Analyze(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{2 * 1024, 16 * 1024, 2 * 1024} {
+		cache := sim.CacheConfig{Size: size, BlockSize: 16, Assoc: 2}
+		got, err := a.Extract(cache, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Extract(tr, cache, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d B: Analyze+Extract = %+v\nExtract = %+v", size, got, want)
+		}
+		got.Params.LS = -1 // a caller's edit must not reach the next Extract
+	}
+	if !reflect.DeepEqual(a.Streams, tr.PerCPU()) {
+		t.Error("Extract modified the analysis's streams")
+	}
+}
+
+func TestAnalyzeErrors(t *testing.T) {
+	if _, err := Analyze(&trace.Trace{NCPU: 1}); !errors.Is(err, ErrEmptyTrace) {
+		t.Errorf("empty trace: want ErrEmptyTrace, got %v", err)
+	}
+	bad := &trace.Trace{NCPU: 1, Refs: []trace.Ref{{CPU: 5, Kind: trace.Read}}}
+	if _, err := Analyze(bad); !errors.Is(err, trace.ErrBadTrace) {
+		t.Errorf("invalid trace: want ErrBadTrace, got %v", err)
+	}
+	a, err := Analyze(&trace.Trace{NCPU: 1, Refs: []trace.Ref{{Kind: trace.IFetch}, {Kind: trace.Read}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frac := range []float64{-0.1, 1} {
+		if _, err := a.Extract(cache64k, frac); err == nil {
+			t.Errorf("warmup fraction %g: want error", frac)
+		}
 	}
 }
 

@@ -21,12 +21,13 @@ func benchTrace(b *testing.B, preset string, instr int) *trace.Trace {
 	return tr
 }
 
-// BenchmarkSimHotLoop drives the engine's per-record path (protocol
-// dispatch, cost application, cache access) with each protocol on the
-// 4-processor pops trace, plus Dragon on the 8-processor pero8 trace,
-// where each snoop has the most other caches to consult. The allocs/op
-// figure guards the hot loop against regressing into per-access
-// allocation.
+// BenchmarkSimHotLoop times the replay loop (the min-clock pick, protocol
+// dispatch, cost application, snoops and cache accesses) with each
+// protocol on the 4-processor pops trace, plus Dragon on the 8-processor
+// pero8 trace, where each snoop has the most other caches to consult.
+// The trace is split outside the timer and replayed with RunStreams, so
+// neither Validate nor PerCPU is timed. The allocs/op figure guards the
+// hot loop against regressing into per-access allocation.
 func BenchmarkSimHotLoop(b *testing.B) {
 	cache := CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2}
 	pops := benchTrace(b, "pops", 20_000)
@@ -45,11 +46,12 @@ func BenchmarkSimHotLoop(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := Config{NCPU: c.tr.NCPU, Cache: cache, Protocol: c.proto}
+			streams := c.tr.PerCPU()
 			b.ReportAllocs()
 			b.SetBytes(int64(len(c.tr.Refs)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(cfg, c.tr); err != nil {
+				if _, err := RunStreams(cfg, streams); err != nil {
 					b.Fatal(err)
 				}
 			}

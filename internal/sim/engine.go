@@ -376,7 +376,15 @@ func (e *engine) run(streams [][]trace.Ref) (*Result, error) {
 		return nil, fmt.Errorf("%w: warmup %d out of range for %d records", ErrBadConfig, cfg.WarmupRefs, remaining)
 	}
 
+	// active lists, in index order, the processors whose streams still
+	// have records; a processor leaves it when its stream runs out.
 	cursor := make([]int, len(streams))
+	active := make([]int, 0, len(streams))
+	for c, s := range streams {
+		if len(s) > 0 {
+			active = append(active, c)
+		}
+	}
 	processed := 0
 	var warmStats []CPUStats
 	var warmClocks []uint64
@@ -390,16 +398,14 @@ func (e *engine) run(streams [][]trace.Ref) (*Result, error) {
 			warmSnoop = e.snoop
 		}
 		// Advance the processor with the smallest clock that still
-		// has work: an event-driven interleaving that lets timing,
-		// not trace position, order cross-processor references (the
-		// paper notes this distorts ordering only slightly).
-		cpu := -1
-		for c := range streams {
-			if cursor[c] >= len(streams[c]) {
-				continue
-			}
-			if cpu < 0 || e.clocks[c] < e.clocks[cpu] {
-				cpu = c
+		// has work, the lowest index on a tie: an event-driven
+		// interleaving that lets timing, not trace position, order
+		// cross-processor references (the paper notes this distorts
+		// ordering only slightly).
+		at, cpu := 0, active[0]
+		for i, c := range active[1:] {
+			if e.clocks[c] < e.clocks[cpu] {
+				at, cpu = i+1, c
 			}
 		}
 		ref := streams[cpu][cursor[cpu]]
@@ -407,6 +413,9 @@ func (e *engine) run(streams [][]trace.Ref) (*Result, error) {
 			return nil, fmt.Errorf("%w: processor %d record %d kind %d", trace.ErrBadTrace, cpu, cursor[cpu], ref.Kind)
 		}
 		cursor[cpu]++
+		if cursor[cpu] == len(streams[cpu]) {
+			active = append(active[:at], active[at+1:]...)
+		}
 		remaining--
 		processed++
 	}
@@ -559,13 +568,19 @@ func (e *engine) access(cpu int, ref trace.Ref, write bool) {
 	cache := e.caches[cpu]
 	block := cache.BlockOf(ref.Addr)
 	isData := ref.Kind.IsData()
+	shared := isData && ref.Shared
 	snoopy := e.snoopy
 
-	var present bool
+	// Only stores, shared data references and misses use the snoop's
+	// answer. Stores and shared data references snoop before the
+	// lookup; any other reference snoops only once it has missed, and
+	// gets the same answer, since a missed Touch changes nothing.
+	var present, snooped bool
 	var holders, dirtyAt int
-	if snoopy {
+	if snoopy && (write || shared) {
 		present, holders, dirtyAt = e.othersHolding(cpu, block)
-		if isData && ref.Shared {
+		snooped = true
+		if shared {
 			e.snoop.SharedRefs++
 			if present {
 				e.snoop.PresentElsewhere++
@@ -592,12 +607,15 @@ func (e *engine) access(cpu int, ref trace.Ref, write bool) {
 	}
 
 	// Miss.
+	if snoopy && !snooped {
+		present, holders, dirtyAt = e.othersHolding(cpu, block)
+	}
 	if isData {
 		e.stats[cpu].DataMisses++
 	} else {
 		e.stats[cpu].InstrMisses++
 	}
-	if snoopy && isData && ref.Shared {
+	if snoopy && shared {
 		e.snoop.SharedMisses++
 		if dirtyAt >= 0 {
 			e.snoop.DirtyElsewhere++

@@ -44,17 +44,18 @@ func (k Kind) String() string {
 // IsData reports whether the record is a load or store.
 func (k Kind) IsData() bool { return k == Read || k == Write }
 
-// Ref is one memory reference by one processor.
+// Ref is one memory reference by one processor. The one-byte fields sit
+// together ahead of Addr, so a Ref is 16 bytes.
 type Ref struct {
 	// CPU is the issuing processor, 0-based.
 	CPU uint8
 	// Kind classifies the reference.
 	Kind Kind
-	// Addr is the byte address.
-	Addr uint64
 	// Shared marks references the compiler/programmer designated as
 	// shared (drives the software schemes; ignored by hardware ones).
 	Shared bool
+	// Addr is the byte address.
+	Addr uint64
 }
 
 // Trace is a fully materialized interleaved trace.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -133,4 +134,12 @@ func TestStatsEmptyTrace(t *testing.T) {
 func almost(a, b float64) bool {
 	d := a - b
 	return d < 1e-12 && d > -1e-12
+}
+
+// TestRefSize pins the record layout: a trace holds millions of Refs,
+// and their one-byte fields packed ahead of Addr keep each at 16 bytes.
+func TestRefSize(t *testing.T) {
+	if got := reflect.TypeOf(Ref{}).Size(); got != 16 {
+		t.Errorf("trace.Ref is %d bytes, want 16", got)
+	}
 }
